@@ -42,9 +42,11 @@ StridePrefetcher::observe(Addr addr, PrefetchList &out)
         for (int d = 1; d <= degree_; ++d) {
             const auto target = static_cast<std::int64_t>(addr) +
                                 static_cast<std::int64_t>(d) * e.stride;
-            if (target >= 0 && pageOf(static_cast<Addr>(target)) == page)
+            if (target >= 0 &&
+                pageOf(static_cast<Addr>(target)) == page) {
                 out.push_back(lineAddr(static_cast<Addr>(target)));
                 ++candidates_;
+            }
         }
     }
 }
@@ -151,9 +153,10 @@ ImpPrefetcher::observe(Addr prodAddr, Addr consAddr, PrefetchList &out)
         if (readIndex(ahead, futureIdx)) {
             const double target =
                 coeff_ * static_cast<double>(futureIdx) + base_;
-            if (target >= 0.0)
+            if (target >= 0.0) {
                 out.push_back(lineAddr(static_cast<Addr>(target)));
                 ++candidates_;
+            }
         }
     }
 }

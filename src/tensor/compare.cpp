@@ -7,7 +7,7 @@
 
 #include "common/log.hpp"
 
-namespace tmu::testing {
+namespace tmu::tensor {
 
 namespace {
 
@@ -72,8 +72,8 @@ Compare::close(Value a, Value b) const
 }
 
 std::string
-diffCsr(const std::string &what, const tensor::CsrMatrix &a,
-        const tensor::CsrMatrix &b, const Compare &cmp)
+diffCsr(const std::string &what, const CsrMatrix &a,
+        const CsrMatrix &b, const Compare &cmp)
 {
     if (a.rows() != b.rows() || a.cols() != b.cols()) {
         return detail::format(
@@ -122,8 +122,8 @@ diffCsr(const std::string &what, const tensor::CsrMatrix &a,
 }
 
 std::string
-diffCoo(const std::string &what, const tensor::CooTensor &a,
-        const tensor::CooTensor &b, const Compare &cmp)
+diffCoo(const std::string &what, const CooTensor &a,
+        const CooTensor &b, const Compare &cmp)
 {
     if (a.order() != b.order()) {
         return detail::format("%s: order %d vs %d", what.c_str(),
@@ -181,8 +181,8 @@ diffVals(const std::string &what, const std::vector<Value> &a,
 }
 
 std::string
-diffDense(const std::string &what, const tensor::DenseVector &a,
-          const tensor::DenseVector &b, const Compare &cmp)
+diffDense(const std::string &what, const DenseVector &a,
+          const DenseVector &b, const Compare &cmp)
 {
     if (a.size() != b.size()) {
         return detail::format("%s: length %lld vs %lld", what.c_str(),
@@ -201,8 +201,8 @@ diffDense(const std::string &what, const tensor::DenseVector &a,
 }
 
 std::string
-diffDense(const std::string &what, const tensor::DenseMatrix &a,
-          const tensor::DenseMatrix &b, const Compare &cmp)
+diffDense(const std::string &what, const DenseMatrix &a,
+          const DenseMatrix &b, const Compare &cmp)
 {
     if (a.rows() != b.rows() || a.cols() != b.cols()) {
         return detail::format(
@@ -227,4 +227,4 @@ diffDense(const std::string &what, const tensor::DenseMatrix &a,
     return {};
 }
 
-} // namespace tmu::testing
+} // namespace tmu::tensor

@@ -2,14 +2,17 @@
  * @file
  * ULP-aware numeric comparison and structured diff reporting.
  *
- * The differential oracle compares legs that compute the same result
- * along different code paths (reference kernel vs drained trace vs TMU
- * program vs format-permuted run). Summation order differs between
- * legs, so exact equality is wrong; a fixed epsilon is also wrong
- * because the fuzzer mixes magnitudes. close() therefore accepts a
- * small absolute tolerance (for sums near zero), a relative tolerance,
- * or a bounded ULP distance — and treats NaN==NaN as equal so a leg
- * pair that both produce NaN does not count as a divergence.
+ * Two consumers: the run verifier (workloads/workload.hpp) checks
+ * every simulated run against its reference under a stated bound, and
+ * the differential oracle (testing/oracle.hpp) compares legs that
+ * compute the same result along different code paths (reference
+ * kernel vs drained trace vs TMU program vs format-permuted run).
+ * Summation order differs between legs, so exact equality is wrong; a
+ * fixed epsilon is also wrong because the fuzzer mixes magnitudes.
+ * close() therefore accepts a small absolute tolerance (for sums near
+ * zero), a relative tolerance, or a bounded ULP distance — and treats
+ * NaN==NaN as equal so a leg pair that both produce NaN does not count
+ * as a divergence.
  *
  * The diff* helpers return "" on match or a one-line description of
  * the first mismatch (coordinate, both values) so oracle failures are
@@ -26,7 +29,7 @@
 #include "tensor/csr.hpp"
 #include "tensor/dense.hpp"
 
-namespace tmu::testing {
+namespace tmu::tensor {
 
 /** Tolerances for one comparison. Defaults fit the fuzzer's value model. */
 struct Compare
@@ -50,12 +53,12 @@ std::uint64_t ulpDistance(Value a, Value b);
  * numerically (vals under @p cmp). Returns "" or a first-mismatch
  * description prefixed with @p what.
  */
-std::string diffCsr(const std::string &what, const tensor::CsrMatrix &a,
-                    const tensor::CsrMatrix &b, const Compare &cmp = {});
+std::string diffCsr(const std::string &what, const CsrMatrix &a,
+                    const CsrMatrix &b, const Compare &cmp = {});
 
 /** Compare two canonical COO tensors; "" or first mismatch. */
-std::string diffCoo(const std::string &what, const tensor::CooTensor &a,
-                    const tensor::CooTensor &b, const Compare &cmp = {});
+std::string diffCoo(const std::string &what, const CooTensor &a,
+                    const CooTensor &b, const Compare &cmp = {});
 
 /** Compare two value vectors elementwise; "" or first mismatch. */
 std::string diffVals(const std::string &what,
@@ -65,14 +68,14 @@ std::string diffVals(const std::string &what,
 
 /** Compare two dense vectors elementwise; "" or first mismatch. */
 std::string diffDense(const std::string &what,
-                      const tensor::DenseVector &a,
-                      const tensor::DenseVector &b,
+                      const DenseVector &a,
+                      const DenseVector &b,
                       const Compare &cmp = {});
 
 /** Compare two dense matrices elementwise; "" or first mismatch. */
 std::string diffDense(const std::string &what,
-                      const tensor::DenseMatrix &a,
-                      const tensor::DenseMatrix &b,
+                      const DenseMatrix &a,
+                      const DenseMatrix &b,
                       const Compare &cmp = {});
 
-} // namespace tmu::testing
+} // namespace tmu::tensor

@@ -14,6 +14,7 @@
 
 namespace tmu::testing {
 
+using tensor::Compare;
 using tensor::CooTensor;
 using tensor::CsrMatrix;
 using tensor::DenseVector;

@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "testing/compare.hpp"
+#include "tensor/compare.hpp"
 #include "tensor/coo.hpp"
 
 namespace tmu::testing {
@@ -39,7 +39,8 @@ namespace tmu::testing {
  */
 std::vector<std::string>
 checkMatrixMetamorphic(const tensor::CooTensor &coo,
-                       std::uint64_t operandSeed, const Compare &cmp = {});
+                       std::uint64_t operandSeed,
+                       const tensor::Compare &cmp = {});
 
 /**
  * Run registry workload @p wlName on @p inputId at @p scaleDiv and

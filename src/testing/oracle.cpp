@@ -34,6 +34,7 @@
 namespace tmu::testing {
 
 using engine::OutqRecord;
+using tensor::Compare;
 using tensor::CooTensor;
 using tensor::CsfTensor;
 using tensor::CsrMatrix;

@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "testing/compare.hpp"
+#include "tensor/compare.hpp"
 #include "tensor/coo.hpp"
 
 namespace tmu::testing {
@@ -57,7 +57,7 @@ tensor::CooTensor applyMutation(const tensor::CooTensor &coo, Mutation m);
 /** Oracle knobs. */
 struct OracleConfig
 {
-    Compare cmp{};      //!< cross-leg tolerance
+    tensor::Compare cmp{}; //!< cross-leg tolerance
     int lanes = 4;      //!< lane count for the TMU programs
     /** Seed for the dense/sparse operand vectors the kernels need. */
     std::uint64_t operandSeed = 0x0badcafe;

@@ -1,13 +1,9 @@
 #include "wl_einsum.hpp"
 
-#include <cmath>
-
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "plan/frontend/frontend.hpp"
-#include "plan/lower.hpp"
 #include "tensor/suite.hpp"
-#include "tmu/outq.hpp"
 
 namespace tmu::workloads {
 
@@ -30,12 +26,6 @@ compileSlice(const char *expr,
     return plan::frontend::compileEinsum(expr, fb, fo).valueOrFatal();
 }
 
-bool
-near(Value got, Value want)
-{
-    return std::abs(got - want) <= 1e-9 * (1.0 + std::abs(want));
-}
-
 } // namespace
 
 void
@@ -53,18 +43,19 @@ SddmmWorkload::prepare(const std::string &inputId, Index scaleDiv)
             c_(j, k) = rng.nextValue(0.1, 1.0);
 
     // Reference by plain host loops: the sampled pattern is A's own.
-    refVals_.clear();
-    refVals_.reserve(static_cast<size_t>(a_.nnz()));
+    std::vector<Value> vals;
+    vals.reserve(static_cast<size_t>(a_.nnz()));
     for (Index i = 0; i < a_.rows(); ++i) {
         for (Index p = a_.rowBegin(i); p < a_.rowEnd(i); ++p) {
             const Index j = a_.idxs()[static_cast<size_t>(p)];
             Value dot = 0.0;
             for (Index k = 0; k < kRank; ++k)
                 dot += b_(i, k) * c_(j, k);
-            refVals_.push_back(a_.vals()[static_cast<size_t>(p)] *
-                               dot);
+            vals.push_back(a_.vals()[static_cast<size_t>(p)] * dot);
         }
     }
+    ref_ = CsrMatrix(a_.rows(), a_.cols(), a_.ptrs(), a_.idxs(),
+                     std::move(vals));
 }
 
 RunResult
@@ -89,58 +80,12 @@ SddmmWorkload::run(const RunConfig &cfg)
     for (int c = 0; c < cores; ++c) {
         const auto [beg, end] = part.range(c);
         plan::PlanState &st = out[static_cast<size_t>(c)];
-        // Exact-capacity reserves keep collector addresses stable
-        // (see sim/addrspace.hpp); the output pattern is A's.
-        const auto outNnz = static_cast<size_t>(a_.rowBegin(end) -
-                                                a_.rowBegin(beg));
-        st.idxs.reserve(outNnz);
-        st.vals.reserve(outNnz);
-        st.rowNnz.reserve(static_cast<size_t>(end - beg));
-        const plan::PlanSpec ps =
-            compileSlice(kEinsum, fb, cfg, beg, end);
-        if (cfg.mode == Mode::Baseline) {
-            h.addBaselineTrace(
-                c, plan::lowerTrace(
-                       ps, {&st.idxs, &st.vals, &st.rowNnz, nullptr},
-                       h.simd()));
-        } else {
-            auto &src = h.addTmuProgram(c, plan::lowerProgram(ps));
-            plan::initPlanState(ps, st);
-            plan::bindHandlers(ps, src, st);
-        }
+        reserveOutput(st, ref_, beg, end);
+        h.addPlan(c, compileSlice(kEinsum, fb, cfg, beg, end), st);
     }
 
     RunResult res = h.finish();
-    res.verified = true;
-    for (int c = 0; c < cores && res.verified; ++c) {
-        const auto [beg, end] = part.range(c);
-        const plan::PlanState &st = out[static_cast<size_t>(c)];
-        if (st.rowNnz.size() != static_cast<size_t>(end - beg) ||
-            st.idxs.size() !=
-                static_cast<size_t>(a_.rowBegin(end) -
-                                    a_.rowBegin(beg))) {
-            res.verified = false;
-            break;
-        }
-        size_t q = 0;
-        for (Index i = beg; i < end && res.verified; ++i) {
-            if (st.rowNnz[static_cast<size_t>(i - beg)] !=
-                a_.rowNnz(i)) {
-                res.verified = false;
-                break;
-            }
-            for (Index p = a_.rowBegin(i); p < a_.rowEnd(i);
-                 ++p, ++q) {
-                if (st.idxs[q] !=
-                        a_.idxs()[static_cast<size_t>(p)] ||
-                    !near(st.vals[q],
-                          refVals_[static_cast<size_t>(p)])) {
-                    res.verified = false;
-                    break;
-                }
-            }
-        }
-    }
+    verifySparse(res, part, out, ref_, Tolerance::Exact);
     return res;
 }
 
@@ -155,15 +100,23 @@ SpmmWorkload::prepare(const std::string &inputId, Index scaleDiv)
         for (Index j = 0; j < kCols; ++j)
             b_(k, j) = rng.nextValue(0.1, 1.0);
 
-    ref_ = DenseMatrix(a_.rows(), kCols, 0.0);
+    // Every non-empty A row yields a full dense row of kCols entries.
+    std::vector<Index> ptrs{0}, idxs;
+    std::vector<Value> vals;
     for (Index i = 0; i < a_.rows(); ++i) {
-        for (Index p = a_.rowBegin(i); p < a_.rowEnd(i); ++p) {
-            const Index k = a_.idxs()[static_cast<size_t>(p)];
-            const Value av = a_.vals()[static_cast<size_t>(p)];
-            for (Index j = 0; j < kCols; ++j)
-                ref_(i, j) += av * b_(k, j);
+        for (Index j = 0; j < kCols && a_.rowNnz(i) > 0; ++j) {
+            Value v = 0.0;
+            for (Index p = a_.rowBegin(i); p < a_.rowEnd(i); ++p) {
+                const auto sp = static_cast<size_t>(p);
+                v += a_.vals()[sp] * b_(a_.idxs()[sp], j);
+            }
+            idxs.push_back(j);
+            vals.push_back(v);
         }
+        ptrs.push_back(static_cast<Index>(idxs.size()));
     }
+    ref_ = CsrMatrix(a_.rows(), kCols, std::move(ptrs), std::move(idxs),
+                     std::move(vals));
 }
 
 RunResult
@@ -187,54 +140,12 @@ SpmmWorkload::run(const RunConfig &cfg)
     for (int c = 0; c < cores; ++c) {
         const auto [beg, end] = part.range(c);
         plan::PlanState &st = out[static_cast<size_t>(c)];
-        // Every non-empty A row emits a full dense output row.
-        size_t nonEmpty = 0;
-        for (Index i = beg; i < end; ++i)
-            nonEmpty += a_.rowNnz(i) > 0 ? 1 : 0;
-        st.idxs.reserve(nonEmpty * static_cast<size_t>(kCols));
-        st.vals.reserve(nonEmpty * static_cast<size_t>(kCols));
-        st.rowNnz.reserve(static_cast<size_t>(end - beg));
-        const plan::PlanSpec ps =
-            compileSlice(kEinsum, fb, cfg, beg, end);
-        if (cfg.mode == Mode::Baseline) {
-            h.addBaselineTrace(
-                c, plan::lowerTrace(
-                       ps, {&st.idxs, &st.vals, &st.rowNnz, nullptr},
-                       h.simd()));
-        } else {
-            auto &src = h.addTmuProgram(c, plan::lowerProgram(ps));
-            plan::initPlanState(ps, st);
-            plan::bindHandlers(ps, src, st);
-        }
+        reserveOutput(st, ref_, beg, end);
+        h.addPlan(c, compileSlice(kEinsum, fb, cfg, beg, end), st);
     }
 
     RunResult res = h.finish();
-    res.verified = true;
-    for (int c = 0; c < cores && res.verified; ++c) {
-        const auto [beg, end] = part.range(c);
-        const plan::PlanState &st = out[static_cast<size_t>(c)];
-        if (st.rowNnz.size() != static_cast<size_t>(end - beg)) {
-            res.verified = false;
-            break;
-        }
-        size_t q = 0;
-        for (Index i = beg; i < end && res.verified; ++i) {
-            const Index want = a_.rowNnz(i) > 0 ? kCols : 0;
-            if (st.rowNnz[static_cast<size_t>(i - beg)] != want) {
-                res.verified = false;
-                break;
-            }
-            for (Index j = 0; j < want; ++j, ++q) {
-                if (st.idxs[q] != j ||
-                    !near(st.vals[q], ref_(i, j))) {
-                    res.verified = false;
-                    break;
-                }
-            }
-        }
-        if (q != st.idxs.size())
-            res.verified = false;
-    }
+    verifySparse(res, part, out, ref_, Tolerance::Exact);
     return res;
 }
 
@@ -302,31 +213,16 @@ SpmmScatterWorkload::run(const RunConfig &cfg)
         fb.mat["B"] = &b_;
         fb.maps["m"] = &map_;
         fb.outMat = &z[static_cast<size_t>(c)];
-        const plan::PlanSpec ps =
-            compileSlice(kEinsum, fb, cfg, beg, end);
-        if (cfg.mode == Mode::Baseline) {
-            h.addBaselineTrace(c, plan::lowerTrace(ps, {}, h.simd()));
-        } else {
-            auto &src = h.addTmuProgram(c, plan::lowerProgram(ps));
-            plan::PlanState &s = st[static_cast<size_t>(c)];
-            plan::initPlanState(ps, s);
-            plan::bindHandlers(ps, src, s);
-        }
+        h.addPlan(c, compileSlice(kEinsum, fb, cfg, beg, end),
+                  st[static_cast<size_t>(c)]);
     }
 
     RunResult res = h.finish();
-    res.verified = true;
-    for (Index i = 0; i < a_.rows() && res.verified; ++i) {
-        for (Index j = 0; j < kCols; ++j) {
-            Value sum = 0.0;
-            for (const DenseMatrix &zc : z)
-                sum += zc(i, j);
-            if (!near(sum, ref_(i, j))) {
-                res.verified = false;
-                break;
-            }
-        }
-    }
+    std::vector<const Value *> parts;
+    for (const DenseMatrix &zc : z)
+        parts.push_back(zc.data());
+    verifyDense(res, ref_.data(), ref_.rows(), ref_.cols(), parts,
+                Tolerance::Exact);
     return res;
 }
 

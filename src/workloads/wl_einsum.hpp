@@ -39,7 +39,7 @@ class SddmmWorkload : public Workload
   private:
     tensor::CsrMatrix a_;
     tensor::DenseMatrix b_, c_;
-    std::vector<Value> refVals_; //!< sampled pattern is A's
+    tensor::CsrMatrix ref_; //!< sampled pattern is A's
 };
 
 /** SpMM, sparse output: Z(i,j; csr) = A(i,k; csr) * B(k,j; dense). */
@@ -65,7 +65,7 @@ class SpmmWorkload : public Workload
   private:
     tensor::CsrMatrix a_;
     tensor::DenseMatrix b_;
-    tensor::DenseMatrix ref_; //!< dense image; empty A rows stay 0
+    tensor::CsrMatrix ref_; //!< kCols entries per non-empty A row
 };
 
 /**

@@ -1,53 +1,15 @@
 #include "wl_merge.hpp"
 
-#include <cmath>
-
 #include "common/log.hpp"
 #include "kernels/spadd.hpp"
 #include "plan/frontend/frontend.hpp"
-#include "plan/lower.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/generate.hpp"
 #include "tensor/suite.hpp"
-#include "tmu/outq.hpp"
 
 namespace tmu::workloads {
 
 namespace {
-
-/** Compare stitched per-core triples against a reference CSR. */
-bool
-verifyMerged(const std::vector<plan::PlanState> &out,
-             const tensor::CsrMatrix &ref)
-{
-    size_t q[64] = {};
-    for (Index i = 0; i < ref.rows(); ++i) {
-        // Find the core that emitted row i (row-partitioned: at most 1).
-        for (Index p = ref.rowBegin(i); p < ref.rowEnd(i); ++p) {
-            bool found = false;
-            for (size_t c = 0; c < out.size() && !found; ++c) {
-                size_t &cq = q[c];
-                if (cq < out[c].rows.size() && out[c].rows[cq] == i) {
-                    if (out[c].idxs[cq] !=
-                            ref.idxs()[static_cast<size_t>(p)] ||
-                        std::abs(out[c].vals[cq] -
-                                 ref.vals()[static_cast<size_t>(p)]) >
-                            1e-9) {
-                        return false;
-                    }
-                    ++cq;
-                    found = true;
-                }
-            }
-            if (!found)
-                return false;
-        }
-    }
-    size_t total = 0;
-    for (const auto &o : out)
-        total += o.idxs.size();
-    return total == static_cast<size_t>(ref.nnz());
-}
 
 /** SpKAdd-shaped run over @p parts with reference @p ref. */
 RunResult
@@ -57,23 +19,13 @@ runKAdd(const RunConfig &cfg,
 {
     RunHarness h(cfg);
     const int cores = h.cores();
-    const Index rows = ref.rows();
-
     std::vector<plan::PlanState> out(static_cast<size_t>(cores));
-    // Baseline row starts, for rebuilding row coordinates afterwards.
-    std::vector<Index> rowBeg(static_cast<size_t>(cores), 0);
 
     // Balance on the merged output's nnz structure (ref row pointers).
-    const Partition part = h.makeRunPartition(rows, ref.ptrs().data());
+    const Partition part =
+        h.makeRunPartition(ref.rows(), ref.ptrs().data());
     for (int c = 0; c < cores; ++c) {
         const auto [beg, end] = part.range(c);
-        plan::PlanState &st = out[static_cast<size_t>(c)];
-        // Reserve the exact output size so the collectors never
-        // reallocate mid-run: their addresses enter the timing
-        // stream, and a stable base keeps the canonical address
-        // layout reproducible (see sim/addrspace.hpp).
-        const auto outNnz = static_cast<size_t>(ref.rowBegin(end) -
-                                                ref.rowBegin(beg));
         plan::frontend::EinsumBindings fb;
         fb.ensembles["A^k"] = &parts;
         plan::frontend::CompileOptions fo;
@@ -83,41 +35,14 @@ runKAdd(const RunConfig &cfg,
             plan::frontend::compileEinsum(
                 "Z(i,j; dcsr) = sum_k A^k(i,j; dcsr)", fb, fo)
                 .valueOrFatal();
-        if (cfg.mode == Mode::Baseline) {
-            rowBeg[static_cast<size_t>(c)] = beg;
-            st.idxs.reserve(outNnz);
-            st.vals.reserve(outNnz);
-            st.rowNnz.reserve(static_cast<size_t>(end - beg));
-            h.addBaselineTrace(
-                c, plan::lowerTrace(
-                       ps, {&st.idxs, &st.vals, &st.rowNnz, nullptr},
-                       h.simd()));
-        } else {
-            st.rows.reserve(outNnz);
-            st.idxs.reserve(outNnz);
-            st.vals.reserve(outNnz);
-            auto &src = h.addTmuProgram(c, plan::lowerProgram(ps));
-            plan::initPlanState(ps, st);
-            plan::bindHandlers(ps, src, st);
-        }
+        // The TMU's lane reduce emits one row coordinate per element.
+        plan::PlanState &st = out[static_cast<size_t>(c)];
+        reserveOutput(st, ref, beg, end, cfg.mode == Mode::Tmu);
+        h.addPlan(c, ps, st);
     }
 
     RunResult res = h.finish();
-
-    if (cfg.mode == Mode::Baseline) {
-        // Rebuild the per-element row coordinates from the baseline
-        // rowNnz collectors for one shared verification path.
-        for (int c = 0; c < cores; ++c) {
-            plan::PlanState &st = out[static_cast<size_t>(c)];
-            for (size_t lr = 0; lr < st.rowNnz.size(); ++lr) {
-                for (Index e = 0; e < st.rowNnz[lr]; ++e) {
-                    st.rows.push_back(rowBeg[static_cast<size_t>(c)] +
-                                      static_cast<Index>(lr));
-                }
-            }
-        }
-    }
-    res.verified = verifyMerged(out, ref);
+    verifySparse(res, part, out, ref, Tolerance::Exact);
     return res;
 }
 
@@ -166,27 +91,19 @@ SpaddWorkload::run(const RunConfig &cfg)
     // legacy path): it is not plan-lowered.
     RunHarness h(cfg);
     const int cores = h.cores();
-    struct BaseOut
-    {
-        std::vector<Index> idxs;
-        std::vector<Value> vals;
-        std::vector<Index> rowNnz;
-    };
-    std::vector<BaseOut> out(static_cast<size_t>(cores));
+    std::vector<plan::PlanState> out(static_cast<size_t>(cores));
     const Partition part =
         h.makeRunPartition(a_.rows(), ref_.ptrs().data());
     for (int c = 0; c < cores; ++c) {
         const auto [beg, end] = part.range(c);
-        BaseOut &bo = out[static_cast<size_t>(c)];
-        h.addBaselineTrace(c, kernels::traceSpadd(a_, b_, bo.idxs,
-                                                  bo.vals, bo.rowNnz,
+        plan::PlanState &st = out[static_cast<size_t>(c)];
+        reserveOutput(st, ref_, beg, end);
+        h.addBaselineTrace(c, kernels::traceSpadd(a_, b_, st.idxs,
+                                                  st.vals, st.rowNnz,
                                                   beg, end, h.simd()));
     }
     RunResult res = h.finish();
-    Index total = 0;
-    for (const auto &bo : out)
-        total += static_cast<Index>(bo.idxs.size());
-    res.verified = total == ref_.nnz();
+    verifySparse(res, part, out, ref_, Tolerance::Exact);
     return res;
 }
 

@@ -1,16 +1,12 @@
 #include "wl_spmspm.hpp"
 
-#include <cmath>
-
 #include "common/log.hpp"
 #include "kernels/spmspm.hpp"
 #include "kernels/tricount.hpp"
 #include "plan/frontend/frontend.hpp"
-#include "plan/lower.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/generate.hpp"
 #include "tensor/suite.hpp"
-#include "tmu/outq.hpp"
 
 namespace tmu::workloads {
 
@@ -55,13 +51,7 @@ SpmspmWorkload::run(const RunConfig &cfg)
     for (int c = 0; c < cores; ++c) {
         const auto [beg, end] = part.range(c);
         plan::PlanState &st = out[static_cast<size_t>(c)];
-        // Stable collector bases keep the canonical address layout
-        // reproducible (see sim/addrspace.hpp).
-        const auto outNnz = static_cast<size_t>(ref_.rowBegin(end) -
-                                                ref_.rowBegin(beg));
-        st.idxs.reserve(outNnz);
-        st.vals.reserve(outNnz);
-        st.rowNnz.reserve(static_cast<size_t>(end - beg));
+        reserveOutput(st, ref_, beg, end);
         plan::frontend::EinsumBindings fb;
         fb.csr["A"] = &a_;
         fb.csr["B"] = &bt_;
@@ -69,54 +59,15 @@ SpmspmWorkload::run(const RunConfig &cfg)
         fo.lanes = cfg.programLanes;
         fo.beg = beg;
         fo.end = end;
-        const plan::PlanSpec ps =
-            plan::frontend::compileEinsum(
-                "Z(i,j; csr) = A(i,k; csr) * B(k,j; csr)", fb, fo)
-                .valueOrFatal();
-        if (cfg.mode == Mode::Baseline) {
-            h.addBaselineTrace(
-                c, plan::lowerTrace(
-                       ps, {&st.idxs, &st.vals, &st.rowNnz, nullptr},
-                       h.simd()));
-        } else {
-            auto &src = h.addTmuProgram(c, plan::lowerProgram(ps));
-            plan::initPlanState(ps, st);
-            plan::bindHandlers(ps, src, st);
-        }
+        h.addPlan(c,
+                  plan::frontend::compileEinsum(
+                      "Z(i,j; csr) = A(i,k; csr) * B(k,j; csr)", fb, fo)
+                      .valueOrFatal(),
+                  st);
     }
 
     RunResult res = h.finish();
-
-    // Stitch the row partitions together and compare against the
-    // reference product.
-    res.verified = true;
-    for (int c = 0; c < cores && res.verified; ++c) {
-        const auto [beg, end] = part.range(c);
-        const plan::PlanState &st = out[static_cast<size_t>(c)];
-        if (st.rowNnz.size() != static_cast<size_t>(end - beg)) {
-            res.verified = false;
-            break;
-        }
-        size_t q = 0;
-        for (Index i = beg; i < end && res.verified; ++i) {
-            if (st.rowNnz[static_cast<size_t>(i - beg)] !=
-                ref_.rowNnz(i)) {
-                res.verified = false;
-                break;
-            }
-            for (Index p = ref_.rowBegin(i); p < ref_.rowEnd(i);
-                 ++p, ++q) {
-                if (st.idxs[q] !=
-                        ref_.idxs()[static_cast<size_t>(p)] ||
-                    std::abs(st.vals[q] -
-                             ref_.vals()[static_cast<size_t>(p)]) >
-                        1e-9) {
-                    res.verified = false;
-                    break;
-                }
-            }
-        }
-    }
+    verifySparse(res, part, out, ref_, Tolerance::Exact);
     return res;
 }
 
@@ -156,32 +107,25 @@ TricountWorkload::run(const RunConfig &cfg)
         h.makeRunPartition(l_.rows(), l_.ptrs().data());
     for (int c = 0; c < cores; ++c) {
         const auto [beg, end] = part.range(c);
-        plan::PlanState &s = st[static_cast<size_t>(c)];
         plan::frontend::EinsumBindings fb;
         fb.csr["L"] = &l_;
         plan::frontend::CompileOptions fo;
         fo.beg = beg;
         fo.end = end;
-        const plan::PlanSpec ps =
-            plan::frontend::compileEinsum(
-                "c = L(i,k; csr) * L(k,j; csr) * L(i,j; csr)", fb, fo)
-                .valueOrFatal();
-        if (cfg.mode == Mode::Baseline) {
-            plan::TraceSinks io;
-            io.count = &s.count;
-            h.addBaselineTrace(c, plan::lowerTrace(ps, io, h.simd()));
-        } else {
-            auto &src = h.addTmuProgram(c, plan::lowerProgram(ps));
-            plan::initPlanState(ps, s);
-            plan::bindHandlers(ps, src, s);
-        }
+        h.addPlan(c,
+                  plan::frontend::compileEinsum(
+                      "c = L(i,k; csr) * L(k,j; csr) * L(i,j; csr)", fb,
+                      fo)
+                      .valueOrFatal(),
+                  st[static_cast<size_t>(c)]);
     }
 
     RunResult res = h.finish();
-    std::uint64_t total = 0;
+    Index total = 0;
     for (const auto &s : st)
-        total += s.count;
-    res.verified = total == ref_;
+        total += static_cast<Index>(s.count);
+    const auto want = static_cast<Index>(ref_);
+    verifyCounts(res, -1, 0, {&total, 1}, {&want, 1});
     return res;
 }
 

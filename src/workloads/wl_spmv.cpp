@@ -1,16 +1,12 @@
 #include "wl_spmv.hpp"
 
-#include <cmath>
-
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "kernels/pagerank.hpp"
 #include "kernels/spmv.hpp"
 #include "plan/frontend/frontend.hpp"
-#include "plan/lower.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/suite.hpp"
-#include "tmu/outq.hpp"
 
 namespace tmu::workloads {
 
@@ -60,26 +56,15 @@ runSpmvShaped(const RunConfig &cfg, const tensor::CsrMatrix &a,
         fo.lanes = cfg.programLanes;
         fo.beg = beg;
         fo.end = end;
-        const plan::PlanSpec ps =
-            plan::frontend::compileEinsum(expr, fb, fo).valueOrFatal();
-        if (cfg.mode == Mode::Baseline) {
-            h.addBaselineTrace(c, plan::lowerTrace(ps, {}, h.simd()));
-        } else {
-            auto &src = h.addTmuProgram(c, plan::lowerProgram(ps));
-            plan::PlanState &st = state[static_cast<size_t>(c)];
-            plan::initPlanState(ps, st);
-            plan::bindHandlers(ps, src, st);
-        }
+        h.addPlan(c,
+                  plan::frontend::compileEinsum(expr, fb, fo)
+                      .valueOrFatal(),
+                  state[static_cast<size_t>(c)]);
     }
 
     RunResult res = h.finish();
-    res.verified = true;
-    for (Index i = 0; i < a.rows(); ++i) {
-        if (std::abs(x[i] - ref[i]) > 1e-9 * (1.0 + std::abs(ref[i]))) {
-            res.verified = false;
-            break;
-        }
-    }
+    verifyDense(res, ref.data(), ref.size(), 1, {x.data()},
+                Tolerance::Exact);
     return res;
 }
 

@@ -1,14 +1,11 @@
 #include "wl_tensor.hpp"
 
-#include <cmath>
-
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "kernels/mttkrp.hpp"
 #include "kernels/smallsolve.hpp"
 #include "kernels/sptc.hpp"
 #include "plan/frontend/frontend.hpp"
-#include "plan/lower.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/generate.hpp"
 #include "tensor/suite.hpp"
@@ -26,10 +23,21 @@ using tensor::DenseMatrix;
 
 namespace {
 
-/** Accumulate one phase's SimResult into a whole-run aggregate. */
+/**
+ * Accumulate one phase's SimResult into a whole-run aggregate. A phase
+ * that did not complete hands the aggregate its termination and
+ * diagnostic; the caller stops there.
+ */
 void
 accumulate(sim::SimResult &into, const sim::SimResult &phase)
 {
+    if (!phase.completed()) {
+        into.termination = phase.termination;
+        into.diagnostic = phase.diagnostic;
+    }
+    into.sched.eventsDispatched += phase.sched.eventsDispatched;
+    into.sched.wakeups += phase.sched.wakeups;
+    into.sched.idleCyclesSkipped += phase.sched.idleCyclesSkipped;
     into.cycles += phase.cycles;
     into.total.cycles += phase.total.cycles;
     into.total.commitCycles += phase.total.commitCycles;
@@ -107,43 +115,15 @@ runMttkrpOnce(const RunConfig &cfg, const CooTensor &t,
         fo.beg = beg;
         fo.end = end;
         fo.variant = p1 ? plan::Variant::P1 : plan::Variant::P2;
-        const plan::PlanSpec ps =
-            plan::frontend::compileEinsum(
-                "Z(i,j) = A(i,k,l; coo) * B(k,j; dense) * "
-                "C(l,j; dense)",
-                fb, fo)
-                .valueOrFatal();
-
-        if (cfg.mode == Mode::Baseline) {
-            h.addBaselineTrace(core,
-                               plan::lowerTrace(ps, {}, h.simd()));
-            continue;
-        }
-
-        auto &src = h.addTmuProgram(core, plan::lowerProgram(ps));
-        plan::PlanState &s = st[static_cast<size_t>(core)];
-        plan::initPlanState(ps, s);
-        plan::bindHandlers(ps, src, s);
+        h.addPlan(core,
+                  plan::frontend::compileEinsum(
+                      "Z(i,j) = A(i,k,l; coo) * B(k,j; dense) * "
+                      "C(l,j; dense)",
+                      fb, fo)
+                      .valueOrFatal(),
+                  st[static_cast<size_t>(core)]);
     }
     return h.finish();
-}
-
-/** Sum per-core accumulators and compare against a reference. */
-bool
-verifyAccumulated(const std::vector<DenseMatrix> &zPerCore,
-                  const DenseMatrix &ref)
-{
-    for (Index i = 0; i < ref.rows(); ++i) {
-        for (Index j = 0; j < ref.cols(); ++j) {
-            Value sum = 0.0;
-            for (const auto &z : zPerCore)
-                sum += z(i, j);
-            if (std::abs(sum - ref(i, j)) >
-                1e-6 * (1.0 + std::abs(ref(i, j))))
-                return false;
-        }
-    }
-    return true;
 }
 
 std::vector<DenseMatrix>
@@ -181,7 +161,11 @@ MttkrpWorkload::run(const RunConfig &cfg)
     auto z = makeAccumulators(cfg.system.cores, t_.dim(0), kRank);
     RunResult res = runMttkrpOnce(cfg, t_, b_, c_, z,
                                   variant_ == Variant::P1);
-    res.verified = verifyAccumulated(z, ref_);
+    std::vector<const Value *> parts;
+    for (const DenseMatrix &zc : z)
+        parts.push_back(zc.data());
+    verifyDense(res, ref_.data(), ref_.rows(), ref_.cols(), parts,
+                Tolerance::Reordered);
     return res;
 }
 
@@ -276,22 +260,19 @@ SptcWorkload::run(const RunConfig &cfg)
     }
 
     RunResult res = h.finish();
-    res.verified = true;
-    for (int c = 0; c < cores && res.verified; ++c) {
+    const std::span<const Index> want(ref_);
+    for (int c = 0; c < cores; ++c) {
         const auto [beg, end] = part.range(c);
-        for (Index r = beg; r < end; ++r) {
-            const Index want = ref_[static_cast<size_t>(r)];
-            const Index got =
-                cfg.mode == Mode::Baseline
-                    ? baseCounts[static_cast<size_t>(c)]
-                                [static_cast<size_t>(r)]
-                    : st[static_cast<size_t>(c)]
-                          .counts[static_cast<size_t>(r - beg)];
-            if (got != want) {
-                res.verified = false;
-                break;
-            }
-        }
+        const auto first = static_cast<size_t>(beg);
+        const auto rows = static_cast<size_t>(end - beg);
+        const auto sc = static_cast<size_t>(c);
+        // Baseline counts are indexed by root, TMU counts by span row.
+        const std::span<const Index> got =
+            cfg.mode == Mode::Baseline
+                ? std::span<const Index>(baseCounts[sc]).subspan(first, rows)
+                : std::span<const Index>(st[sc].counts);
+        if (!verifyCounts(res, c, beg, got, want.subspan(first, rows)))
+            break;
     }
     return res;
 }
@@ -335,6 +316,8 @@ CpalsWorkload::run(const RunConfig &cfg)
             total,
             runMttkrpOnce(cfg, pt, f[static_cast<size_t>(m1)],
                           f[static_cast<size_t>(m2)], z, true));
+        if (!total.sim.completed())
+            return total;
 
         // Dense phase: gram + hadamard + Cholesky solves, partitioned
         // over the factor rows (always executed by the cores).
@@ -351,6 +334,8 @@ CpalsWorkload::run(const RunConfig &cfg)
                                                 h.simd()));
             }
             accumulateRun(total, h.finish());
+            if (!total.sim.completed())
+                return total;
         }
 
         // Exact numeric update of the factor.
@@ -367,18 +352,14 @@ CpalsWorkload::run(const RunConfig &cfg)
         f[static_cast<size_t>(mode)] = std::move(m);
     }
 
-    total.verified = true;
-    for (int mode = 0; mode < 3 && total.verified; ++mode) {
-        const auto &got = f[static_cast<size_t>(mode)];
-        const auto &want = ref_[static_cast<size_t>(mode)];
-        for (Index i = 0; i < got.rows() && total.verified; ++i) {
-            for (Index j = 0; j < got.cols(); ++j) {
-                if (std::abs(got(i, j) - want(i, j)) >
-                    1e-5 * (1.0 + std::abs(want(i, j)))) {
-                    total.verified = false;
-                    break;
-                }
-            }
+    for (int mode = 0; mode < 3; ++mode) {
+        const DenseMatrix &want = ref_[static_cast<size_t>(mode)];
+        if (!verifyDense(total, want.data(), want.rows(), want.cols(),
+                         {f[static_cast<size_t>(mode)].data()},
+                         Tolerance::Solve)) {
+            total.mismatch = detail::format("factor %d %s", mode,
+                                            total.mismatch.c_str());
+            break;
         }
     }
     return total;

@@ -4,20 +4,24 @@
  * execution paths of the study —
  *   Baseline: SVE-style traced software on the simulated cores;
  *   Tmu:      per-core TMU engines marshaling into the cores.
- * Every run checks its outputs against the reference kernel, so each
- * data point in the benches is a verified computation.
+ * Every run checks its outputs against the reference kernel through
+ * the one verifier below, so each data point in the benches is a
+ * verified computation.
  */
 
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/statreg.hpp"
 #include "common/tracewriter.hpp"
+#include "plan/lower.hpp"
 #include "sim/config.hpp"
 #include "sim/system.hpp"
+#include "tensor/csr.hpp"
 #include "tmu/engine.hpp"
 #include "tmu/outq.hpp"
 #include "workloads/partition.hpp"
@@ -79,6 +83,8 @@ struct RunResult
 {
     sim::SimResult sim;
     bool verified = false;   //!< outputs matched the reference kernel
+    /** First verification mismatch (core, row, column); "" if none. */
+    std::string mismatch;
     double rwRatio = 0.0;    //!< avg outQ read-to-write ratio (Tmu)
     std::uint64_t tmuRequests = 0;
     std::uint64_t tmuElements = 0;
@@ -119,20 +125,58 @@ class Workload
 };
 
 /**
- * [begin, end) slice of @p total handed to core @p c of @p cores —
- * the historical equal-span split, now a thin shim over the shared
- * PartitionKind::Rows strategy (see partition.hpp). Workloads route
- * through RunConfig::partition; this remains for callers that need a
- * quick unweighted split.
+ * How far a run's values may stray from its reference: the verifier's
+ * policy table (workload.cpp, docs/TESTING.md "Run verification")
+ * maps each class to one tensor::Compare bound.
  */
-inline std::pair<Index, Index>
-partition(Index total, int cores, int c)
-{
-    const Index chunk = (total + cores - 1) / cores;
-    const Index beg = std::min<Index>(total, chunk * c);
-    const Index end = std::min<Index>(total, beg + chunk);
-    return {beg, end};
-}
+enum class Tolerance {
+    Exact,     //!< both paths reduce in the reference's order
+    Reordered, //!< per-core private accumulators reorder a sum
+    Solve,     //!< solves on reordered sums (CP-ALS factors)
+};
+
+/*
+ * The run verifier. Each entry point reads the run's collectors in
+ * place, stops at the first mismatch and records the verdict on @p res:
+ * RunResult::verified, and a diagnostic naming core, row and column in
+ * RunResult::mismatch. Each returns the verdict.
+ */
+
+/**
+ * Row-partitioned sparse output. Core c's collectors out[c] hold the
+ * rows part.range(c), in order: idxs/vals per element, and the row of
+ * each element either as one rowNnz count per row of the span or, when
+ * rowNnz is empty, as KWayMerge's per-element rows coordinate.
+ */
+bool verifySparse(RunResult &res, const Partition &part,
+                  const std::vector<plan::PlanState> &out,
+                  const tensor::CsrMatrix &ref, Tolerance tol);
+
+/**
+ * Dense row-major rows x cols output: @p ref against the elementwise
+ * sum of @p parts — the one shared output, or each core's private
+ * accumulator summed in core order.
+ */
+bool verifyDense(RunResult &res, const Value *ref, Index rows,
+                 Index cols, const std::vector<const Value *> &parts,
+                 Tolerance tol);
+
+/**
+ * Exact integer outputs of core @p core (-1: the whole run): got[k]
+ * against want[k], reported as row firstRow + k.
+ */
+bool verifyCounts(RunResult &res, int core, Index firstRow,
+                  std::span<const Index> got, std::span<const Index> want);
+
+/**
+ * Reserve @p st's collectors to the exact size of core's reference rows
+ * [beg, end) of @p ref — per-element @p rows coordinates or one rowNnz
+ * count per row — so they never reallocate mid-run: their addresses
+ * enter the timing stream, and stable bases keep the canonical address
+ * layout reproducible (see sim/addrspace.hpp).
+ */
+void reserveOutput(plan::PlanState &st, const tensor::CsrMatrix &ref,
+                   Index beg, Index end, bool rows = false);
 
 /**
  * Merge a phase's stat snapshot into a multi-phase aggregate: U64
@@ -181,10 +225,22 @@ class RunHarness
         return partition_;
     }
 
+    /**
+     * Attach core @p c's slice of a plan on the run's path: Baseline
+     * lowers the trace with @p st's idxs/vals/rowNnz/count as sinks
+     * (kinds that emit none ignore them); Tmu lowers the program and
+     * binds its handlers to @p st. @p st must outlive the run.
+     */
+    void addPlan(int c, const plan::PlanSpec &spec, plan::PlanState &st);
+
     /** Attach a baseline trace to core @p c. */
     void addBaselineTrace(int c, sim::Trace trace);
 
-    /** Attach a TMU program + outQ source to core @p c. */
+    /**
+     * Attach a TMU program + outQ source to core @p c. Throws
+     * std::runtime_error, failing only this run, when a layer needs
+     * more lanes than the engine has.
+     */
     engine::OutqSource &addTmuProgram(int c,
                                       const engine::TmuProgram &prog);
 

@@ -183,22 +183,13 @@ TEST(Attribution, ShapeClassFuzzSumInvariant)
             ps.reserve(kCores);
             for (int core = 0; core < kCores; ++core) {
                 const auto [beg, end] =
-                    workloads::partition(a.rows(), kCores, core);
+                    workloads::makePartition(workloads::PartitionKind::Rows,
+                                             a.rows(), nullptr, kCores)
+                        .range(core);
                 ps.push_back(plan::spmvPlan(a, b, x, cfg.programLanes,
                                             beg, end,
                                             plan::Variant::P1));
-                if (mode == workloads::Mode::Baseline) {
-                    h.addBaselineTrace(
-                        core, plan::lowerTrace(ps.back(), {},
-                                               h.simd()));
-                } else {
-                    auto &src = h.addTmuProgram(
-                        core, plan::lowerProgram(ps.back()));
-                    plan::initPlanState(ps.back(),
-                                        st[static_cast<size_t>(core)]);
-                    plan::bindHandlers(ps.back(), src,
-                                       st[static_cast<size_t>(core)]);
-                }
+                h.addPlan(core, ps.back(), st[static_cast<size_t>(core)]);
             }
             checkSumInvariants(h.finish().stats, kCores, what);
         }

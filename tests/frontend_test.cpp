@@ -604,11 +604,11 @@ runPlanCycles(const workloads::RunConfig &cfg, Index domain,
     ps.reserve(static_cast<size_t>(cores));
     for (int c = 0; c < cores; ++c) {
         const auto [beg, end] =
-            workloads::partition(domain, cores, c);
+            workloads::makePartition(workloads::PartitionKind::Rows,
+                                     domain, nullptr, cores)
+                .range(c);
         ps.push_back(makePlan(beg, end));
-        auto &src = h.addTmuProgram(c, plan::lowerProgram(ps[c]));
-        plan::initPlanState(ps[c], st[static_cast<size_t>(c)]);
-        plan::bindHandlers(ps[c], src, st[static_cast<size_t>(c)]);
+        h.addPlan(c, ps[c], st[static_cast<size_t>(c)]);
     }
     return h.finish().sim.cycles;
 }

@@ -17,7 +17,7 @@
 #include <sstream>
 
 #include "common/rng.hpp"
-#include "testing/compare.hpp"
+#include "tensor/compare.hpp"
 #include "testing/fuzzer.hpp"
 #include "testing/metamorphic.hpp"
 #include "testing/minimize.hpp"
@@ -27,6 +27,7 @@
 namespace tmu::testing {
 namespace {
 
+using tensor::Compare;
 using tensor::CooTensor;
 
 // --- Sampler -----------------------------------------------------------

@@ -77,6 +77,15 @@ struct BadCase
     Errc code;
 };
 
+// Without a printer gtest lists the raw bytes of the struct (string
+// addresses and padding), which makes the discovered test names change
+// on every run; the label keeps them stable.
+void
+PrintTo(const BadCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 class MmioBadInput : public ::testing::TestWithParam<BadCase>
 {
 };
@@ -247,8 +256,9 @@ TEST(Mutilator, MtxNeverCrashes)
             bad[pos] = static_cast<char>(rng.nextBounded(256));
         }
         auto t = parseMtx(bad);
-        if (!t.ok())
+        if (!t.ok()) {
             EXPECT_FALSE(t.error().message().empty());
+        }
     }
 }
 
@@ -257,8 +267,9 @@ TEST(Mutilator, MtxTruncationsNeverCrash)
     const std::string good = kGoodMtx;
     for (std::size_t len = 0; len < good.size(); ++len) {
         auto t = parseMtx(good.substr(0, len));
-        if (!t.ok())
+        if (!t.ok()) {
             EXPECT_FALSE(t.error().message().empty());
+        }
     }
 }
 
@@ -272,8 +283,9 @@ TEST(Mutilator, TnsNeverCrashes)
             static_cast<std::size_t>(rng.nextBounded(bad.size()));
         bad[pos] = static_cast<char>(rng.nextBounded(256));
         auto t = parseTns(bad);
-        if (!t.ok())
+        if (!t.ok()) {
             EXPECT_FALSE(t.error().message().empty());
+        }
     }
 }
 
@@ -287,8 +299,9 @@ TEST(Mutilator, FaultSpecNeverCrashes)
             static_cast<std::size_t>(rng.nextBounded(bad.size()));
         bad[pos] = static_cast<char>(rng.nextBounded(256));
         auto s = sim::FaultSpec::parse(bad);
-        if (!s.ok())
+        if (!s.ok()) {
             EXPECT_FALSE(s.error().message().empty());
+        }
     }
 }
 

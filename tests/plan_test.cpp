@@ -272,7 +272,9 @@ TEST(PlanCycles, SpmvTmuMatchesHandWritten)
         };
         std::vector<CoreState> st(2);
         for (int c = 0; c < 2; ++c) {
-            const auto [beg, end] = workloads::partition(rows, 2, c);
+            const auto [beg, end] = workloads::makePartition(
+                workloads::PartitionKind::Rows, rows, nullptr, 2)
+                .range(c);
             auto &src = h.addTmuProgram(
                 c, workloads::buildSpmvP1(in.a, in.dv, cfg.programLanes,
                                           beg, end));
@@ -310,13 +312,13 @@ TEST(PlanCycles, SpmvTmuMatchesHandWritten)
         std::vector<plan::PlanState> st(2);
         std::vector<plan::PlanSpec> ps;
         for (int c = 0; c < 2; ++c) {
-            const auto [beg, end] = workloads::partition(rows, 2, c);
+            const auto [beg, end] = workloads::makePartition(
+                workloads::PartitionKind::Rows, rows, nullptr, 2)
+                .range(c);
             ps.push_back(plan::spmvPlan(in.a, in.dv, x,
                                         cfg.programLanes, beg, end,
                                         plan::Variant::P1));
-            auto &src = h.addTmuProgram(c, plan::lowerProgram(ps[c]));
-            plan::initPlanState(ps[c], st[static_cast<size_t>(c)]);
-            plan::bindHandlers(ps[c], src, st[static_cast<size_t>(c)]);
+            h.addPlan(c, ps[c], st[static_cast<size_t>(c)]);
         }
         planCycles = h.finish().sim.cycles;
         checkX();
@@ -339,7 +341,9 @@ TEST(PlanCycles, SpmvBaselineMatchesHandWritten)
     {
         workloads::RunHarness h(cfg);
         for (int c = 0; c < 2; ++c) {
-            const auto [beg, end] = workloads::partition(rows, 2, c);
+            const auto [beg, end] = workloads::makePartition(
+                workloads::PartitionKind::Rows, rows, nullptr, 2)
+                .range(c);
             h.addBaselineTrace(c, kernels::traceSpmv(in.a, in.dv, x,
                                                      beg, end,
                                                      h.simd()));
@@ -352,7 +356,9 @@ TEST(PlanCycles, SpmvBaselineMatchesHandWritten)
         workloads::RunHarness h(cfg);
         std::vector<plan::PlanSpec> ps;
         for (int c = 0; c < 2; ++c) {
-            const auto [beg, end] = workloads::partition(rows, 2, c);
+            const auto [beg, end] = workloads::makePartition(
+                workloads::PartitionKind::Rows, rows, nullptr, 2)
+                .range(c);
             ps.push_back(plan::spmvPlan(in.a, in.dv, x,
                                         cfg.programLanes, beg, end,
                                         plan::Variant::P1));
@@ -380,7 +386,9 @@ TEST(PlanCycles, TricountTmuMatchesHandWritten)
         workloads::RunHarness h(cfg);
         std::vector<std::uint64_t> counts(2, 0);
         for (int c = 0; c < 2; ++c) {
-            const auto [beg, end] = workloads::partition(rows, 2, c);
+            const auto [beg, end] = workloads::makePartition(
+                workloads::PartitionKind::Rows, rows, nullptr, 2)
+                .range(c);
             auto &src = h.addTmuProgram(
                 c, workloads::buildTricount(in.lower, beg, end));
             auto &count = counts[static_cast<size_t>(c)];
@@ -401,11 +409,11 @@ TEST(PlanCycles, TricountTmuMatchesHandWritten)
         std::vector<plan::PlanState> st(2);
         std::vector<plan::PlanSpec> ps;
         for (int c = 0; c < 2; ++c) {
-            const auto [beg, end] = workloads::partition(rows, 2, c);
+            const auto [beg, end] = workloads::makePartition(
+                workloads::PartitionKind::Rows, rows, nullptr, 2)
+                .range(c);
             ps.push_back(plan::tricountPlan(in.lower, beg, end));
-            auto &src = h.addTmuProgram(c, plan::lowerProgram(ps[c]));
-            plan::initPlanState(ps[c], st[static_cast<size_t>(c)]);
-            plan::bindHandlers(ps[c], src, st[static_cast<size_t>(c)]);
+            h.addPlan(c, ps[c], st[static_cast<size_t>(c)]);
         }
         planCycles = h.finish().sim.cycles;
         ASSERT_EQ(st[0].count + st[1].count, ref);

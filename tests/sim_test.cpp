@@ -187,6 +187,18 @@ TEST(Stride, DetectsUnitLineStride)
     EXPECT_GT(out.back(), 5u * 64);
 }
 
+TEST(Stride, CountsOnlyCandidatesItEmits)
+{
+    // A confident stride runs into the end of its 4 KiB page: targets
+    // past the page end are dropped, and must not count as candidates.
+    StridePrefetcher pf(2);
+    PrefetchList out;
+    for (Addr a = 4096 - 6 * 64; a < 4096; a += 64)
+        pf.observe(a, out);
+    EXPECT_FALSE(out.empty());
+    EXPECT_EQ(pf.candidates(), out.size());
+}
+
 TEST(Stride, NoPrefetchOnRandom)
 {
     StridePrefetcher pf(2);

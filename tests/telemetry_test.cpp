@@ -55,7 +55,9 @@ struct SpmvRun
         workloads::RunHarness h(cfg);
         for (int c = 0; c < 2; ++c) {
             const auto [beg, end] =
-                workloads::partition(a.rows(), 2, c);
+                workloads::makePartition(workloads::PartitionKind::Rows,
+                                         a.rows(), nullptr, 2)
+                    .range(c);
             h.addBaselineTrace(c, kernels::traceSpmv(a, b, x, beg,
                                                      end, h.simd()));
         }

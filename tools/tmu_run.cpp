@@ -203,6 +203,8 @@ appendResult(std::string &out, const std::string &path,
            std::to_string(r.sim.total.mispredicts),
            r.verified ? "yes" : "NO"});
     out += t.render();
+    if (!r.mismatch.empty())
+        out += detail::format("mismatch: %s\n", r.mismatch.c_str());
     if (!r.sim.completed()) {
         out += detail::format("termination: %s\n",
                               sim::terminationName(r.sim.termination));

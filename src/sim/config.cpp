@@ -220,8 +220,8 @@ SystemConfig::describe() const
         static_cast<unsigned long long>(llcSlice.sizeBytes / 1024),
         llcSlice.ways, mem.meshW, mem.meshH, mem.memChannels,
         mem.channelGBs);
-    // Budgets are off by default; the banner only grows when the run
-    // is actually supervised, keeping historical output unchanged.
+    // Budgets are off by default; the banner only grows when a run
+    // sets one, keeping historical output unchanged.
     if (deadlineMs > 0 || cycleBudget > 0 || memBudgetBytes > 0) {
         out += "\nbudgets:";
         if (deadlineMs > 0) {

@@ -123,7 +123,7 @@ struct SystemConfig
      */
     Cycle watchdogCycles = 1'000'000;
     /**
-     * Supervised-execution budgets (0 disables each). Enforced
+     * Per-run budgets (0 disables each). Enforced
      * cooperatively by System::run at its poll boundaries, producing
      * structured DeadlineExceeded / CycleBudgetExceeded /
      * MemBudgetExceeded terminations instead of hangs or OOM kills.

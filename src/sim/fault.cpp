@@ -1,27 +1,21 @@
 #include "fault.hpp"
 
 #include <charconv>
-#include <cstring>
 
 namespace tmu::sim {
 
 namespace {
 
 constexpr const char *kKindNames[kNumFaultKinds] = {
-    "mem-lat",    "drop-pf",    "outq-stall",
-    "outq-corrupt", "fill-delay", "task-fail",
-};
+    "mem-lat", "drop-pf", "outq-stall", "fill-delay"};
 
 /**
- * Sites whose effect is latency-only and can never corrupt state.
- * OutqCorrupt must be detected by the chunk checksum; TaskFail must be
- * detected (and absorbed) by the JobSupervisor's retry machinery.
+ * Per-site stream salt: the site's position in the original six-site
+ * table plus one. fill-delay keeps salt 5 from its old index 4, so a
+ * given (seed, spec) still draws the same fault sequence, and gives
+ * the same cycles, as before the table shrank.
  */
-bool
-timingOnly(FaultKind k)
-{
-    return k != FaultKind::OutqCorrupt && k != FaultKind::TaskFail;
-}
+constexpr std::uint64_t kStreamSalt[kNumFaultKinds] = {1, 2, 3, 5};
 
 Expected<double>
 parseProb(const std::string &tok)
@@ -134,34 +128,14 @@ FaultSpec::parse(const std::string &text)
     return spec;
 }
 
-std::string
-FaultSpec::describe() const
-{
-    std::string out;
-    for (int k = 0; k < kNumFaultKinds; ++k) {
-        const FaultSiteSpec &s = sites[static_cast<std::size_t>(k)];
-        if (s.probability <= 0.0)
-            continue;
-        if (!out.empty())
-            out += ",";
-        out += detail::format("%s=%g", kKindNames[k], s.probability);
-        if (s.extraCycles > 0) {
-            out += detail::format(
-                ":%llu", static_cast<unsigned long long>(s.extraCycles));
-        }
-    }
-    return out;
-}
-
 FaultInjector::FaultInjector(std::uint64_t seed, const FaultSpec &spec)
-    : seed_(seed), spec_(spec), corruptRng_(seed ^ 0xDEADBEEFCAFEULL)
+    : spec_(spec)
 {
     // One independent stream per site so the decision sequence of one
     // site does not depend on how often the others are consulted.
     for (int k = 0; k < kNumFaultKinds; ++k) {
         rngs_[static_cast<std::size_t>(k)].reseed(
-            seed ^ (0x9e3779b97f4a7c15ULL *
-                    static_cast<std::uint64_t>(k + 1)));
+            seed ^ (0x9e3779b97f4a7c15ULL * kStreamSalt[k]));
     }
 }
 
@@ -169,15 +143,10 @@ bool
 FaultInjector::shouldInject(FaultKind k)
 {
     const std::size_t i = static_cast<std::size_t>(k);
-    const FaultSiteSpec &site = spec_.sites[i];
-    if (site.probability <= 0.0 ||
-        counts_[i].injected >= site.maxCount)
+    const double p = spec_.sites[i].probability;
+    if (p <= 0.0 || !rngs_[i].nextBool(p))
         return false;
-    if (!rngs_[i].nextBool(site.probability))
-        return false;
-    ++counts_[i].injected;
-    if (timingOnly(k))
-        ++counts_[i].masked;
+    ++injected_[i];
     return true;
 }
 
@@ -188,33 +157,18 @@ FaultInjector::extraCycles(FaultKind k) const
 }
 
 std::uint64_t
-FaultInjector::corruptWord(std::uint64_t word)
+FaultInjector::injected(FaultKind k) const
 {
-    return word ^ (std::uint64_t{1} << corruptRng_.nextBounded(64));
+    return injected_[static_cast<std::size_t>(k)];
 }
 
-void
-FaultInjector::recordDetected(FaultKind k)
+std::uint64_t
+FaultInjector::totalInjected() const
 {
-    ++counts_[static_cast<std::size_t>(k)].detected;
-}
-
-const FaultCounts &
-FaultInjector::counts(FaultKind k) const
-{
-    return counts_[static_cast<std::size_t>(k)];
-}
-
-FaultCounts
-FaultInjector::totals() const
-{
-    FaultCounts t;
-    for (const FaultCounts &c : counts_) {
-        t.injected += c.injected;
-        t.masked += c.masked;
-        t.detected += c.detected;
-    }
-    return t;
+    std::uint64_t total = 0;
+    for (const std::uint64_t n : injected_)
+        total += n;
+    return total;
 }
 
 void
@@ -227,27 +181,10 @@ FaultInjector::registerStats(stats::StatRegistry &reg,
             continue;
         const std::string site = kKindNames[i];
         reg.scalar(prefix + site + ".injected",
-                   "faults injected at site " + site,
-                   &counts_[i].injected);
-        reg.scalar(prefix + site + ".masked",
-                   "timing-only faults absorbed at site " + site,
-                   &counts_[i].masked);
-        reg.scalar(prefix + site + ".detected",
-                   "corruptions detected at site " + site,
-                   &counts_[i].detected);
+                   "faults injected at site " + site, &injected_[i]);
     }
     reg.scalarU64(prefix + "injected", "total faults injected",
-                  [this] { return totals().injected; });
-    reg.scalarU64(prefix + "masked", "total faults masked",
-                  [this] { return totals().masked; });
-    reg.scalarU64(prefix + "detected", "total faults detected",
-                  [this] { return totals().detected; });
-    reg.scalarU64(prefix + "unaccounted",
-                  "injected faults neither masked nor detected",
-                  [this] {
-                      const FaultCounts t = totals();
-                      return t.injected - t.masked - t.detected;
-                  });
+                  [this] { return totalInjected(); });
 }
 
 } // namespace tmu::sim

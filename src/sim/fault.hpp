@@ -8,28 +8,14 @@
  * exact same fault sequence run after run — a failure found under
  * injection is reproducible from its command line.
  *
- * Sites and their intended failure modes:
- *  - mem-lat:      extra latency on an accepted memory access
- *                  (timing-only; must be masked by the model);
- *  - drop-pf:      silently drop a prefetch candidate (timing-only);
- *  - outq-stall:   backpressure stall on outQ chunk consumption
- *                  (timing-only);
- *  - outq-corrupt: flip one bit of an outQ record payload word. The
- *                  engine's per-chunk checksum must *detect* this and
- *                  recover (modeled retransmit penalty), keeping the
- *                  computation correct;
- *  - fill-delay:   delay a TMU fill completion (timing-only);
- *  - task-fail:    spurious transient failure of a whole sweep task.
- *                  Rolled once per supervised attempt by the
- *                  JobSupervisor, never inside the simulation: the run
- *                  itself is untouched, but the attempt is reported
- *                  failed so retry/backoff/quarantine paths can be
- *                  exercised deterministically with no real crash.
+ * Every site perturbs timing only; none can change a computed value:
+ *  - mem-lat:    extra latency on an accepted memory access;
+ *  - drop-pf:    silently drop a prefetch candidate;
+ *  - outq-stall: backpressure stall on outQ chunk consumption;
+ *  - fill-delay: delay a TMU fill completion.
  *
- * Every injection is counted; timing-only faults are accounted masked
- * at injection (they cannot corrupt state), corruption faults must be
- * accounted detected by the checksum. A run is gracefully degraded iff
- * masked + detected == injected and the output still verifies.
+ * A run under injection must still complete and verify; each site
+ * counts its injections.
  */
 
 #pragma once
@@ -50,11 +36,9 @@ enum class FaultKind : int {
     MemLatencySpike = 0, //!< extra cycles on a memory access
     DropPrefetch,        //!< discard a prefetch candidate
     OutqStall,           //!< stall outQ consumption
-    OutqCorrupt,         //!< flip a bit in an outQ payload word
     FillDelay,           //!< delay a TMU fill completion
-    TaskFail,            //!< spurious transient sweep-task failure
 };
-inline constexpr int kNumFaultKinds = 6;
+inline constexpr int kNumFaultKinds = 4;
 
 /** Stable spec/stat name of a fault kind ("mem-lat"). */
 const char *faultKindName(FaultKind k);
@@ -64,7 +48,6 @@ struct FaultSiteSpec
 {
     double probability = 0.0; //!< per-opportunity injection chance
     Cycle extraCycles = 0;    //!< latency payload (site-dependent)
-    std::uint64_t maxCount = ~std::uint64_t{0}; //!< injection budget
 };
 
 /** Whole-run fault plan. */
@@ -77,31 +60,15 @@ struct FaultSpec
     {
         return sites[static_cast<std::size_t>(k)];
     }
-    FaultSiteSpec &
-    site(FaultKind k)
-    {
-        return sites[static_cast<std::size_t>(k)];
-    }
 
     /** True if any site has a nonzero probability. */
     bool any() const;
 
     /**
      * Parse "site=prob[:cycles][,site=prob[:cycles]...]", e.g.
-     * "mem-lat=0.01:200,outq-corrupt=0.001". Unlisted sites stay off.
+     * "mem-lat=0.01:200,outq-stall=0.02:32". Unlisted sites stay off.
      */
     static Expected<FaultSpec> parse(const std::string &text);
-
-    /** Render back to the parse() syntax (active sites only). */
-    std::string describe() const;
-};
-
-/** Per-site injection accounting. */
-struct FaultCounts
-{
-    std::uint64_t injected = 0;
-    std::uint64_t masked = 0;   //!< timing-only, cannot corrupt state
-    std::uint64_t detected = 0; //!< caught by an integrity check
 };
 
 /** Seeded, deterministic fault source shared by one simulation. */
@@ -110,50 +77,29 @@ class FaultInjector
   public:
     FaultInjector(std::uint64_t seed, const FaultSpec &spec);
 
-    const FaultSpec &spec() const { return spec_; }
-    std::uint64_t seed() const { return seed_; }
-
-    /**
-     * Roll site @p k once; true if a fault fires now. Counts the
-     * injection; timing-only sites are immediately counted masked.
-     */
+    /** Roll site @p k once; true (and counted) if a fault fires now. */
     bool shouldInject(FaultKind k);
 
     /** Latency payload of site @p k. */
     Cycle extraCycles(FaultKind k) const;
 
-    /** Flip one uniformly-chosen bit of @p word (OutqCorrupt). */
-    std::uint64_t corruptWord(std::uint64_t word);
+    /** Faults injected so far at site @p k. */
+    std::uint64_t injected(FaultKind k) const;
 
-    /** Account a corruption caught by an integrity check. */
-    void recordDetected(FaultKind k);
-
-    const FaultCounts &counts(FaultKind k) const;
-
-    /** Totals across all sites. */
-    FaultCounts totals() const;
-
-    /** True iff every injected fault was masked or detected. */
-    bool
-    allAccounted() const
-    {
-        const FaultCounts t = totals();
-        return t.masked + t.detected == t.injected;
-    }
+    /** Faults injected so far across all sites. */
+    std::uint64_t totalInjected() const;
 
     /**
-     * Register injected/masked/detected per active site plus the
-     * totals under @p prefix (e.g. "faults.").
+     * Register the injected count per active site plus the total under
+     * @p prefix (e.g. "faults.").
      */
     void registerStats(stats::StatRegistry &reg,
                        const std::string &prefix) const;
 
   private:
-    std::uint64_t seed_;
     FaultSpec spec_;
     std::array<Rng, kNumFaultKinds> rngs_;
-    std::array<FaultCounts, kNumFaultKinds> counts_;
-    Rng corruptRng_;
+    std::array<std::uint64_t, kNumFaultKinds> injected_{};
 };
 
 } // namespace tmu::sim

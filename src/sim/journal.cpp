@@ -1,151 +1,15 @@
-#include "supervisor.hpp"
+#include "journal.hpp"
 
 #include <cerrno>
-#include <chrono>
 #include <cinttypes>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
-
-#include <unistd.h>
 
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/writers.hpp"
 
 namespace tmu::sim {
-
-namespace {
-
-/** FNV-1a mix of @p name into @p seed (per-task stream separation). */
-std::uint64_t
-mixName(std::uint64_t seed, const std::string &name)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL ^ seed;
-    for (const char c : name) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-} // namespace
-
-std::uint64_t
-hostResidentBytes()
-{
-    std::FILE *f = std::fopen("/proc/self/statm", "r");
-    if (!f)
-        return 0;
-    unsigned long long totalPages = 0;
-    unsigned long long residentPages = 0;
-    const int got =
-        std::fscanf(f, "%llu %llu", &totalPages, &residentPages);
-    std::fclose(f);
-    if (got != 2)
-        return 0;
-    const long page = ::sysconf(_SC_PAGESIZE);
-    if (page <= 0)
-        return 0;
-    return static_cast<std::uint64_t>(residentPages) *
-           static_cast<std::uint64_t>(page);
-}
-
-std::uint64_t
-hostMonotonicMs()
-{
-    using namespace std::chrono;
-    return static_cast<std::uint64_t>(
-        duration_cast<milliseconds>(
-            steady_clock::now().time_since_epoch())
-            .count());
-}
-
-const char *
-taskStatusName(TaskStatus s)
-{
-    switch (s) {
-    case TaskStatus::Ok:
-        return "ok";
-    case TaskStatus::Failed:
-        return "failed";
-    case TaskStatus::Quarantined:
-        return "quarantined";
-    case TaskStatus::Interrupted:
-        return "interrupted";
-    }
-    return "unknown";
-}
-
-JobSupervisor::JobSupervisor(const SupervisorConfig &cfg,
-                             const std::string &taskName,
-                             FaultInjector *faults)
-    : cfg_(cfg), faults_(faults), jitter_(mixName(cfg.seed, taskName))
-{
-}
-
-std::uint64_t
-JobSupervisor::nextBackoffMs(int retryIndex)
-{
-    const std::uint64_t base = cfg_.backoffBaseMs;
-    std::uint64_t ms = cfg_.backoffCapMs;
-    // base << retryIndex, saturating at the cap (shift can overflow).
-    if (base == 0) {
-        ms = 0;
-    } else if (retryIndex < 63 && (base << retryIndex) >> retryIndex ==
-                                      base) {
-        ms = base << retryIndex;
-        if (ms > cfg_.backoffCapMs)
-            ms = cfg_.backoffCapMs;
-    }
-    if (base > 0)
-        ms += jitter_.nextBounded(base); // decorrelate retry storms
-    return ms;
-}
-
-TaskStatus
-JobSupervisor::supervise(const std::function<AttemptStatus()> &attempt)
-{
-    int streak = 0;     // consecutive failed attempts
-    int retryIndex = 0; // retries consumed
-    for (;;) {
-        ++stats_.attempts;
-        AttemptStatus st = attempt();
-        // Roll the task-fail site exactly once per attempt, whatever
-        // the attempt itself did: a hit on a successful attempt
-        // becomes a spurious transient failure, a hit on a failed one
-        // just keeps the books. Supervision is this site's integrity
-        // check, so every injection is immediately detected.
-        if (faults_ && faults_->shouldInject(FaultKind::TaskFail)) {
-            faults_->recordDetected(FaultKind::TaskFail);
-            ++stats_.taskFailInjected;
-            ++stats_.taskFailDetected;
-            if (st == AttemptStatus::Ok)
-                st = AttemptStatus::TransientFailure;
-        }
-        if (st == AttemptStatus::Ok)
-            return TaskStatus::Ok;
-        ++streak;
-        if (cfg_.quarantineAfter > 0 && streak >= cfg_.quarantineAfter) {
-            stats_.quarantined = 1;
-            return TaskStatus::Quarantined;
-        }
-        if (st != AttemptStatus::TransientFailure ||
-            retryIndex >= cfg_.maxRetries)
-            return TaskStatus::Failed;
-        const std::uint64_t ms = nextBackoffMs(retryIndex);
-        backoffs_.push_back(ms);
-        stats_.backoffCycles += ms;
-        if (cfg_.sleepOnBackoff && ms > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(ms));
-        }
-        if (cfg_.stopRequested && cfg_.stopRequested())
-            return TaskStatus::Interrupted;
-        ++retryIndex;
-        ++stats_.retries;
-    }
-}
 
 std::string
 fingerprintJson(
@@ -160,19 +24,6 @@ fingerprintJson(
 }
 
 namespace {
-
-void
-writeSupStats(stats::JsonWriter &jw, const SupervisorStats &s)
-{
-    jw.beginObject();
-    jw.key("attempts").value(s.attempts);
-    jw.key("retries").value(s.retries);
-    jw.key("backoffCycles").value(s.backoffCycles);
-    jw.key("quarantined").value(s.quarantined);
-    jw.key("taskFailInjected").value(s.taskFailInjected);
-    jw.key("taskFailDetected").value(s.taskFailDetected);
-    jw.endObject();
-}
 
 /**
  * Stat values travel as text so they replay bit-exact: u64 in decimal,
@@ -203,8 +54,6 @@ serializeRecord(const TaskRecord &r)
     jw.key("error").value(r.error);
     jw.key("verified").value(r.verified);
     jw.key("output").value(r.output);
-    jw.key("sup");
-    writeSupStats(jw, r.sup);
     jw.key("runs").beginArray();
     for (const TaskRunRecord &run : r.runs) {
         jw.beginObject();
@@ -272,24 +121,6 @@ recordFromJson(const json::Value &v)
     if (!verified)
         return TMU_ERR(Errc::Corrupted, "missing member 'verified'");
     r.verified = verified->asBool();
-
-    const json::Value *sup = v.find("sup");
-    if (!sup || !sup->isObject())
-        return TMU_ERR(Errc::Corrupted, "missing object member 'sup'");
-    for (auto [field, dst] : {std::pair<const char *, std::uint64_t *>{
-                                  "attempts", &r.sup.attempts},
-                              {"retries", &r.sup.retries},
-                              {"backoffCycles", &r.sup.backoffCycles},
-                              {"quarantined", &r.sup.quarantined},
-                              {"taskFailInjected",
-                               &r.sup.taskFailInjected},
-                              {"taskFailDetected",
-                               &r.sup.taskFailDetected}}) {
-        auto u = memberU64(*sup, field);
-        if (!u)
-            return std::move(u.error());
-        *dst = *u;
-    }
 
     const json::Value *runs = v.find("runs");
     if (!runs || !runs->isArray())

@@ -1,13 +1,46 @@
 #include "system.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
+
+#include <unistd.h>
 
 #include "common/log.hpp"
 #include "sim/addrspace.hpp"
-#include "sim/supervisor.hpp"
 
 namespace tmu::sim {
+
+std::uint64_t
+hostResidentBytes()
+{
+    std::FILE *f = std::fopen("/proc/self/statm", "r");
+    if (!f)
+        return 0;
+    unsigned long long totalPages = 0;
+    unsigned long long residentPages = 0;
+    const int got =
+        std::fscanf(f, "%llu %llu", &totalPages, &residentPages);
+    std::fclose(f);
+    if (got != 2)
+        return 0;
+    const long page = ::sysconf(_SC_PAGESIZE);
+    if (page <= 0)
+        return 0;
+    return static_cast<std::uint64_t>(residentPages) *
+           static_cast<std::uint64_t>(page);
+}
+
+std::uint64_t
+hostMonotonicMs()
+{
+    using namespace std::chrono;
+    return static_cast<std::uint64_t>(
+        duration_cast<milliseconds>(
+            steady_clock::now().time_since_epoch())
+            .count());
+}
 
 double
 SimResult::commitFrac() const
@@ -138,7 +171,7 @@ System::run(Cycle maxCycles)
     constexpr Cycle kPollInterval = 1024;
     ProgressWatchdog watchdog(cfg_.watchdogCycles);
 
-    // Supervised-execution budgets. The simulated-cycle budget is a
+    // Per-run budgets. The simulated-cycle budget is a
     // second hard stop alongside maxCycles; the host-resource budgets
     // (wall clock, resident set) are sampled at poll boundaries like
     // the watchdog. On a tie the budget wins the name: the user asked
@@ -307,8 +340,8 @@ System::run(Cycle maxCycles)
                     TerminationReason::CycleBudgetExceeded ||
                 res.termination ==
                     TerminationReason::MemBudgetExceeded;
-            // Budget trips get their own track: they are supervision
-            // outcomes, not watchdog diagnoses.
+            // Budget trips get their own track: they are resource
+            // limits, not watchdog diagnoses.
             tracer_->instant(tracePid_, 0,
                              budget ? "budget" : "watchdog",
                              std::string(budget ? "budget_"

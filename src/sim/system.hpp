@@ -21,6 +21,12 @@
 
 namespace tmu::sim {
 
+/** Current resident-set size of this process in bytes (0 if unknown). */
+std::uint64_t hostResidentBytes();
+
+/** Monotonic host clock in milliseconds (steady, not wall time). */
+std::uint64_t hostMonotonicMs();
+
 /** Whole-run result summary. */
 struct SimResult
 {
@@ -101,7 +107,7 @@ class System
      * occupancy dump in SimResult::diagnostic, instead of spinning to
      * the @p maxCycles safety cap.
      *
-     * Supervised-execution budgets (cfg.deadlineMs, cfg.cycleBudget,
+     * Per-run budgets (cfg.deadlineMs, cfg.cycleBudget,
      * cfg.memBudgetBytes; each 0-disabled) are enforced here too,
      * cooperatively at the same poll boundaries, yielding
      * DeadlineExceeded / CycleBudgetExceeded / MemBudgetExceeded

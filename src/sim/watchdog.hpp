@@ -33,9 +33,9 @@ enum class TerminationReason : int {
     CycleCap,      //!< hit the maxCycles safety cap while still active
     Deadlock,      //!< watchdog: no progress, no activity
     Livelock,      //!< watchdog: no progress despite activity
-    DeadlineExceeded,    //!< supervision: wall-clock deadline passed
-    CycleBudgetExceeded, //!< supervision: simulated-cycle budget spent
-    MemBudgetExceeded,   //!< supervision: host resident set over budget
+    DeadlineExceeded,    //!< budget: wall-clock deadline passed
+    CycleBudgetExceeded, //!< budget: simulated-cycle budget spent
+    MemBudgetExceeded,   //!< budget: host resident set over budget
 };
 
 /** Stable display name ("completed", "deadlock", ...). */
@@ -55,20 +55,6 @@ terminationName(TerminationReason r)
         return "mem-budget-exceeded";
     }
     return "unknown";
-}
-
-/**
- * True when retrying the run could plausibly end differently: the trip
- * came from a host-side resource guard (wall clock, resident memory),
- * not from deterministic simulated behavior. Deadlock/livelock and
- * simulated-cycle exhaustion replay identically, so retrying them only
- * burns time — the JobSupervisor treats those as permanent.
- */
-inline bool
-isTransientTermination(TerminationReason r)
-{
-    return r == TerminationReason::DeadlineExceeded ||
-           r == TerminationReason::MemBudgetExceeded;
 }
 
 /** No-progress-window detector with deadlock/livelock classification. */

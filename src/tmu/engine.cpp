@@ -13,24 +13,6 @@ namespace {
 
 constexpr Cycle kNever = ~Cycle{0};
 
-/** Retransmit penalty when a corrupted chunk must be re-fetched and
- *  the injection site did not specify one. */
-constexpr Cycle kDefaultRecoveryCycles = 256;
-
-/** FNV-1a fold of one outQ record's payload words into @p h. */
-std::uint64_t
-foldRecord(std::uint64_t h, const OutqRecord &rec)
-{
-    constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-    h = (h ^ static_cast<std::uint64_t>(rec.callbackId)) * kPrime;
-    for (const auto &operand : rec.operands) {
-        h = (h ^ operand.size()) * kPrime;
-        for (const std::uint64_t w : operand)
-            h = (h ^ w) * kPrime;
-    }
-    return h;
-}
-
 std::uint64_t
 loadElem(Addr addr)
 {
@@ -795,70 +777,7 @@ TmuEngine::fillingChunk(Cycle now)
     ch.usedBytes = 0;
     ch.fillStart = now;
     ch.records.clear();
-    ch.checksum = 0xcbf29ce484222325ULL; // FNV-1a offset basis
-    ch.verified = false;
-    ch.corrupted.clear();
     return curChunk_;
-}
-
-void
-TmuEngine::writeRecord(Chunk &ch, OutqRecord rec, Addr addr)
-{
-    // Checksum the true payload, then (under injection) corrupt the
-    // stored copy — the mismatch is what the consumer-side verify in
-    // popRecord must catch.
-    ch.checksum = foldRecord(ch.checksum, rec);
-    ch.records.emplace_back(std::move(rec), addr);
-    if (faults_ == nullptr ||
-        !faults_->shouldInject(sim::FaultKind::OutqCorrupt))
-        return;
-    OutqRecord &stored = ch.records.back().first;
-    for (std::size_t o = 0; o < stored.operands.size(); ++o) {
-        if (stored.operands[o].empty())
-            continue;
-        CorruptedWord cw;
-        cw.record = ch.records.size() - 1;
-        cw.operand = o;
-        cw.word = 0;
-        cw.original = stored.operands[o][0];
-        stored.operands[o][0] = faults_->corruptWord(cw.original);
-        ch.corrupted.push_back(cw);
-        return;
-    }
-    // No payload words to corrupt: the injection fizzles harmlessly.
-    faults_->recordDetected(sim::FaultKind::OutqCorrupt);
-}
-
-bool
-TmuEngine::verifyChunk(Chunk &ch, Cycle now)
-{
-    if (ch.verified)
-        return now >= ch.readyAt;
-    std::uint64_t sum = 0xcbf29ce484222325ULL;
-    for (const auto &[rec, addr] : ch.records)
-        sum = foldRecord(sum, rec);
-    ch.verified = true;
-    if (sum == ch.checksum) {
-        TMU_ASSERT(ch.corrupted.empty(),
-                   "payload corruption escaped the chunk checksum");
-        return now >= ch.readyAt;
-    }
-    // Detected: restore the payload (modeled retransmit) and charge
-    // the recovery penalty before the chunk becomes consumable.
-    TMU_ASSERT(faults_ != nullptr && !ch.corrupted.empty(),
-               "chunk checksum mismatch without injected corruption");
-    for (const CorruptedWord &cw : ch.corrupted) {
-        ch.records[cw.record].first.operands[cw.operand][cw.word] =
-            cw.original;
-        faults_->recordDetected(sim::FaultKind::OutqCorrupt);
-    }
-    ch.corrupted.clear();
-    Cycle penalty =
-        faults_->extraCycles(sim::FaultKind::OutqCorrupt);
-    if (penalty == 0)
-        penalty = kDefaultRecoveryCycles;
-    ch.readyAt = now + penalty;
-    return false;
 }
 
 void
@@ -868,7 +787,6 @@ TmuEngine::sealChunk(int c, Cycle now)
     TMU_ASSERT(ch.state == Chunk::State::Filling);
     ch.state = Chunk::State::Sealed;
     ch.sealAt = now;
-    ch.readyAt = now;
     const Addr base = sim::canonBase(outqBuf_.data()) +
                       static_cast<Addr>(c) * cfg_.chunkBytes;
     for (std::size_t off = 0; off < ch.usedBytes; off += kLineBytes)
@@ -927,7 +845,7 @@ TmuEngine::tickSerializer(Cycle now)
             stats_.outqBytes += bytes;
             occupancyBytes_ += bytes;
             ++stats_.recordsEmitted;
-            writeRecord(ch, std::move(rec), addr);
+            ch.records.emplace_back(std::move(rec), addr);
             tok.records.erase(tok.records.begin());
             changed_ = true;
         }
@@ -1073,9 +991,9 @@ TmuEngine::recordAvailableAt(Cycle now) const
     const Chunk &ch = chunks_[consumeChunk_];
     if (ch.state == Chunk::State::Sealed) {
         // Polls before the seal/backpressure gate are side-effect
-        // free; from the gate on, every poll can draw fault RNG or
-        // advance the verify clock, so the consumer must poll
-        // per-cycle from there (never sleep past it).
+        // free; from the gate on, every poll can draw fault RNG, so
+        // the consumer must poll per-cycle from there (never sleep
+        // past it).
         const Cycle gate = std::max(ch.sealAt, consumeStallUntil_);
         return gate > now ? gate : now;
     }
@@ -1200,8 +1118,6 @@ TmuEngine::popRecord(Cycle now, OutqRecord &rec, Addr &outqAddr)
         consumeStallUntil_ = now + stall;
         return false;
     }
-    if (!verifyChunk(ch, now))
-        return false; // recovering from detected corruption
     if (!ch.consuming) {
         ch.consuming = true;
         ch.consumeStart = now;

@@ -146,10 +146,9 @@ class TmuEngine : public sim::Tickable
 
     /**
      * Earliest cycle a popRecord poll could succeed *or have a side
-     * effect* (fault-RNG draws, verify clocks): the gate a starved
-     * consumer may sleep until. kWakeNever = no sealed chunk — the
-     * next record can only appear via a seal, which fires the
-     * consumer-wake port.
+     * effect* (fault-RNG draws): the gate a starved consumer may sleep
+     * until. kWakeNever = no sealed chunk — the next record can only
+     * appear via a seal, which fires the consumer-wake port.
      */
     Cycle recordAvailableAt(Cycle now) const;
 
@@ -225,10 +224,8 @@ class TmuEngine : public sim::Tickable
 
     /**
      * Attach a fault injector (borrowed; nullptr detaches). Sites:
-     * delayed fills (fill-delay), consumer backpressure (outq-stall),
-     * and payload corruption (outq-corrupt) — the latter must be
-     * caught by the per-chunk checksum, which restores the payload at
-     * a modeled retransmit penalty, keeping results correct.
+     * delayed fills (fill-delay) and consumer backpressure
+     * (outq-stall), both timing-only.
      */
     void setFaultInjector(sim::FaultInjector *faults)
     {
@@ -308,15 +305,6 @@ class TmuEngine : public sim::Tickable
         bool doneFlag = false;
     };
 
-    /** Location + original value of an injected payload corruption. */
-    struct CorruptedWord
-    {
-        std::size_t record = 0;
-        std::size_t operand = 0;
-        std::size_t word = 0;
-        std::uint64_t original = 0;
-    };
-
     /** One outQ chunk. */
     struct Chunk
     {
@@ -325,12 +313,8 @@ class TmuEngine : public sim::Tickable
         std::size_t usedBytes = 0;
         Cycle fillStart = 0;
         Cycle sealAt = 0;
-        Cycle readyAt = 0; //!< sealAt, pushed out by fault recovery
         Cycle consumeStart = 0;
         bool consuming = false;
-        std::uint64_t checksum = 0; //!< FNV-1a over payloads at write
-        bool verified = false;      //!< checksum checked on first pop
-        std::vector<CorruptedWord> corrupted; //!< pending injections
     };
 
     void tickTus(Cycle now);
@@ -362,10 +346,6 @@ class TmuEngine : public sim::Tickable
     bool tuDone(const TuState &tu) const;
     void sealChunk(int c, Cycle now);
     int fillingChunk(Cycle now);
-    /** Append @p rec to chunk @p c: checksum + optional corruption. */
-    void writeRecord(Chunk &ch, OutqRecord rec, Addr addr);
-    /** First-pop integrity check; true once the chunk is consumable. */
-    bool verifyChunk(Chunk &ch, Cycle now);
 
     int coreId_;
     EngineConfig cfg_;

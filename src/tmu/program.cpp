@@ -91,7 +91,7 @@ TmuProgram::addTu(int layer, int lane, TuDesc desc)
 {
     TMU_ASSERT(layer >= 0 && layer < numLayers(), "no such layer %d",
                layer);
-    TMU_ASSERT(lane >= 0 && lane < 64);
+    TMU_ASSERT(lane >= 0 && lane < kMaxLanes);
     auto &tus = layers_[static_cast<size_t>(layer)].tus;
     if (static_cast<int>(tus.size()) <= lane)
         tus.resize(static_cast<size_t>(lane) + 1);

@@ -22,6 +22,9 @@
 
 namespace tmu::engine {
 
+/** Most lanes a program or engine may have: one LaneMask bit each. */
+inline constexpr int kMaxLanes = 64;
+
 /** Fiber-iteration primitives (paper Table 1). */
 enum class TraversalKind : std::uint8_t {
     Dense, //!< DnsFbrT(beg, end, stride): constant bounds

@@ -11,7 +11,7 @@ QueuePlan
 planQueues(const TmuProgram &program, std::size_t perLaneBytes,
            int minDepth)
 {
-    TMU_ASSERT(perLaneBytes >= 64);
+    TMU_ASSERT(perLaneBytes >= kMinPerLaneBytes);
     const int layers = program.numLayers();
 
     // Volume weight of each layer: cumulative expected elements.

@@ -16,6 +16,9 @@
 
 namespace tmu::engine {
 
+/** Smallest per-lane stream storage planQueues accepts: one line. */
+inline constexpr std::size_t kMinPerLaneBytes = 64;
+
 /** Queue depths (elements) per layer, identical across a layer's TUs. */
 struct QueuePlan
 {

@@ -87,7 +87,7 @@ tryMakeWorkload(const std::string &name)
             return e.factory();
     }
     std::string known;
-    for (const auto &w : allWorkloads())
+    for (const auto &w : registeredWorkloads())
         known += (known.empty() ? "" : ", ") + w;
     return TMU_ERR(Errc::UnknownName,
                    "unknown workload '%s' (known: %s)", name.c_str(),
@@ -119,6 +119,15 @@ allWorkloads()
     for (auto &t : tensorAlgebraWorkloads())
         all.push_back(std::move(t));
     return all;
+}
+
+std::vector<std::string>
+registeredWorkloads()
+{
+    std::vector<std::string> names;
+    for (const RegistryEntry &e : kRegistry)
+        names.emplace_back(e.name);
+    return names;
 }
 
 } // namespace tmu::workloads

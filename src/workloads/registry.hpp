@@ -28,4 +28,7 @@ std::vector<std::string> linearAlgebraWorkloads(); //!< matrix inputs
 std::vector<std::string> tensorAlgebraWorkloads(); //!< tensor inputs
 std::vector<std::string> allWorkloads();
 
+/** Every constructible workload name, evaluated or not, table order. */
+std::vector<std::string> registeredWorkloads();
+
 } // namespace tmu::workloads

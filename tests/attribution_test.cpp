@@ -113,12 +113,8 @@ makeConfig(workloads::Mode mode, bool dense)
  */
 TEST(Attribution, RegistryWorkloadsSumInvariant)
 {
-    // The einsum-frontend workloads are registered Unlisted (they are
-    // not part of the paper-figure sweeps), so allWorkloads() excludes
-    // them; the attribution invariant must hold for them regardless.
-    std::vector<std::string> names = workloads::allWorkloads();
-    names.insert(names.end(), {"SDDMM", "SpMM", "SpMM-SC"});
-    for (const std::string &name : names) {
+    // Every registered workload, the Unlisted ones included.
+    for (const std::string &name : workloads::registeredWorkloads()) {
         auto wl = workloads::makeWorkload(name);
         wl->prepare(wl->inputs().front(), kScaleDiv);
         for (const workloads::Mode mode :

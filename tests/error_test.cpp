@@ -84,16 +84,12 @@ TEST(FaultSpecParse, SingleSite)
 
 TEST(FaultSpecParse, MultipleSitesAndDescribeRoundTrip)
 {
-    auto s = FaultSpec::parse("mem-lat=0.01:200,outq-corrupt=0.001");
+    auto s = FaultSpec::parse("mem-lat=0.01:200,outq-stall=0.001");
     ASSERT_TRUE(s.ok()) << s.error().str();
-    EXPECT_DOUBLE_EQ(s->site(FaultKind::OutqCorrupt).probability,
-                     0.001);
-    auto again = FaultSpec::parse(s->describe());
-    ASSERT_TRUE(again.ok()) << again.error().str();
-    EXPECT_DOUBLE_EQ(
-        again->site(FaultKind::MemLatencySpike).probability, 0.01);
-    EXPECT_EQ(again->site(FaultKind::MemLatencySpike).extraCycles,
-              200u);
+    EXPECT_DOUBLE_EQ(s->site(FaultKind::OutqStall).probability, 0.001);
+    EXPECT_DOUBLE_EQ(s->site(FaultKind::MemLatencySpike).probability,
+                     0.01);
+    EXPECT_EQ(s->site(FaultKind::MemLatencySpike).extraCycles, 200u);
 }
 
 TEST(FaultSpecParse, EmptyIsInert)
@@ -130,11 +126,8 @@ TEST(FaultInjector, DeterministicAcrossInstances)
         EXPECT_EQ(a.shouldInject(FaultKind::MemLatencySpike),
                   b.shouldInject(FaultKind::MemLatencySpike));
     }
-    EXPECT_EQ(a.totals().injected, b.totals().injected);
-    EXPECT_GT(a.totals().injected, 0u);
-    // Timing-only faults are auto-masked: always accounted.
-    EXPECT_TRUE(a.allAccounted());
-    EXPECT_EQ(a.totals().masked, a.totals().injected);
+    EXPECT_EQ(a.totalInjected(), b.totalInjected());
+    EXPECT_GT(a.totalInjected(), 0u);
 }
 
 TEST(FaultInjector, SeedChangesTheStream)
@@ -149,44 +142,6 @@ TEST(FaultInjector, SeedChangesTheStream)
             ++differs;
     }
     EXPECT_GT(differs, 0);
-}
-
-TEST(FaultInjector, CorruptWordFlipsExactlyOneBit)
-{
-    auto spec = FaultSpec::parse("outq-corrupt=1.0");
-    ASSERT_TRUE(spec.ok());
-    FaultInjector f(99, *spec);
-    for (int i = 0; i < 64; ++i) {
-        const std::uint64_t w = 0x0123456789abcdefULL + i;
-        const std::uint64_t c = f.corruptWord(w);
-        EXPECT_EQ(__builtin_popcountll(w ^ c), 1);
-    }
-}
-
-TEST(FaultInjector, CorruptionsNeedExplicitDetection)
-{
-    auto spec = FaultSpec::parse("outq-corrupt=1.0");
-    ASSERT_TRUE(spec.ok());
-    FaultInjector f(5, *spec);
-    ASSERT_TRUE(f.shouldInject(FaultKind::OutqCorrupt));
-    EXPECT_EQ(f.totals().injected, 1u);
-    EXPECT_EQ(f.totals().masked, 0u);
-    EXPECT_FALSE(f.allAccounted());
-    f.recordDetected(FaultKind::OutqCorrupt);
-    EXPECT_EQ(f.totals().detected, 1u);
-    EXPECT_TRUE(f.allAccounted());
-}
-
-TEST(FaultInjector, MaxCountBudget)
-{
-    FaultSpec spec;
-    spec.site(FaultKind::OutqStall).probability = 1.0;
-    spec.site(FaultKind::OutqStall).maxCount = 3;
-    FaultInjector f(7, spec);
-    int fired = 0;
-    for (int i = 0; i < 100; ++i)
-        fired += f.shouldInject(FaultKind::OutqStall) ? 1 : 0;
-    EXPECT_EQ(fired, 3);
 }
 
 TEST(SystemConfigPreset, KnownNames)

@@ -1,10 +1,9 @@
 /**
  * @file
  * End-to-end fault injection: workloads run under an active fault spec
- * must degrade gracefully — timing faults masked by construction,
- * payload corruptions detected by the outQ chunk checksum and
- * recovered, the final output still verifying against the reference
- * kernel, and every injected fault accounted for.
+ * must degrade gracefully — every site perturbs timing only, so the
+ * run still completes and its output still verifies against the
+ * reference kernel — and a seeded run replays exactly.
  */
 
 #include <gtest/gtest.h>
@@ -31,56 +30,47 @@ runSpmv(Mode mode, FaultInjector *faults)
     return wl->run(cfg);
 }
 
+constexpr const char *kEverySite =
+    "mem-lat=0.05:100,drop-pf=0.1,outq-stall=0.02:32,fill-delay=0.05:64";
+
 } // namespace
 
 TEST(FaultInjection, TimingFaultsAreMaskedAndVerified)
 {
-    auto spec = FaultSpec::parse(
-        "mem-lat=0.05:100,drop-pf=0.1,outq-stall=0.02:32,"
-        "fill-delay=0.05:64");
+    auto spec = FaultSpec::parse(kEverySite);
     ASSERT_TRUE(spec.ok()) << spec.error().str();
     FaultInjector faults(42, *spec);
 
     const RunResult res = runSpmv(Mode::Tmu, &faults);
     EXPECT_TRUE(res.verified);
     EXPECT_TRUE(res.sim.completed());
-
-    const FaultCounts t = faults.totals();
-    EXPECT_GT(t.injected, 0u);
-    EXPECT_EQ(t.masked, t.injected); // timing-only: masked at injection
-    EXPECT_EQ(t.detected, 0u);
-    EXPECT_TRUE(faults.allAccounted());
+    EXPECT_GT(faults.totalInjected(), 0u);
 }
 
-TEST(FaultInjection, CorruptionsAreDetectedAndRecovered)
+TEST(FaultInjection, SeededRunIsPinned)
 {
-    auto spec = FaultSpec::parse("outq-corrupt=0.01");
+    // Each site draws from its own seeded stream, so a (seed, spec)
+    // pair gives the same cycles and injection counts on every run,
+    // back to back in one process too. Pinned so that a change to a
+    // site's stream (its seed salt, its draw order) fails here.
+    auto spec = FaultSpec::parse(kEverySite);
     ASSERT_TRUE(spec.ok()) << spec.error().str();
-    FaultInjector faults(7, *spec);
-
-    const RunResult res = runSpmv(Mode::Tmu, &faults);
-    // The checksum must catch every corruption and the recovery path
-    // must restore the payload: the run still verifies.
-    EXPECT_TRUE(res.verified);
-    EXPECT_TRUE(res.sim.completed());
-
-    const FaultCounts corr = faults.counts(FaultKind::OutqCorrupt);
-    EXPECT_GT(corr.injected, 0u);
-    EXPECT_EQ(corr.detected, corr.injected);
-    EXPECT_TRUE(faults.allAccounted());
+    for (int run = 0; run < 2; ++run) {
+        FaultInjector faults(42, *spec);
+        const RunResult res = runSpmv(Mode::Tmu, &faults);
+        EXPECT_TRUE(res.verified) << "run " << run;
+        EXPECT_EQ(res.sim.cycles, 4019u) << "run " << run;
+        EXPECT_EQ(faults.injected(FaultKind::MemLatencySpike), 347u);
+        EXPECT_EQ(faults.injected(FaultKind::DropPrefetch), 61u);
+        EXPECT_EQ(faults.injected(FaultKind::OutqStall), 18u);
+        EXPECT_EQ(faults.injected(FaultKind::FillDelay), 159u);
+    }
 }
 
 TEST(FaultInjection, MixedSpecStaysAccountedAcrossSeeds)
 {
-    // Whatever the seed, every injected fault must end up masked or
-    // detected and the output must still verify. (Exact replay of the
-    // per-site decision streams is unit-tested in error_test; it can't
-    // be asserted end-to-end in-process because simulated addresses
-    // derive from host heap layout, so the *number of injection
-    // opportunities* differs even between identical back-to-back
-    // runs.)
-    auto spec =
-        FaultSpec::parse("mem-lat=0.02:150,outq-corrupt=0.005");
+    // Whatever the seed, the output must still verify.
+    auto spec = FaultSpec::parse("mem-lat=0.02:150,outq-stall=0.005");
     ASSERT_TRUE(spec.ok()) << spec.error().str();
 
     for (const std::uint64_t seed : {1234ULL, 99ULL}) {
@@ -88,8 +78,7 @@ TEST(FaultInjection, MixedSpecStaysAccountedAcrossSeeds)
         const RunResult r = runSpmv(Mode::Tmu, &f);
         EXPECT_TRUE(r.verified) << "seed " << seed;
         EXPECT_TRUE(r.sim.completed()) << "seed " << seed;
-        EXPECT_GT(f.totals().injected, 0u) << "seed " << seed;
-        EXPECT_TRUE(f.allAccounted()) << "seed " << seed;
+        EXPECT_GT(f.totalInjected(), 0u) << "seed " << seed;
     }
 }
 
@@ -104,7 +93,7 @@ TEST(FaultInjection, LatencyFaultsSlowTheRunDown)
 
     EXPECT_TRUE(clean.verified);
     EXPECT_TRUE(slow.verified);
-    EXPECT_GT(faults.totals().injected, 0u);
+    EXPECT_GT(faults.totalInjected(), 0u);
     // Heavy latency injection must actually cost cycles, proving the
     // injected latency reaches the timing model.
     EXPECT_GT(slow.sim.cycles, clean.sim.cycles);
@@ -118,25 +107,24 @@ TEST(FaultInjection, BaselineModeTakesMemFaults)
 
     const RunResult res = runSpmv(Mode::Baseline, &faults);
     EXPECT_TRUE(res.verified);
-    EXPECT_GT(faults.totals().injected, 0u);
-    EXPECT_TRUE(faults.allAccounted());
+    EXPECT_GT(faults.totalInjected(), 0u);
 }
 
 TEST(FaultInjection, StatsAppearInTheSnapshot)
 {
-    auto spec = FaultSpec::parse("outq-corrupt=0.01");
+    auto spec = FaultSpec::parse("outq-stall=0.01");
     ASSERT_TRUE(spec.ok());
     FaultInjector faults(7, *spec);
 
     const RunResult res = runSpmv(Mode::Tmu, &faults);
-    bool sawInjected = false, sawDetected = false, sawTermination = false;
+    bool sawInjected = false, sawSite = false, sawTermination = false;
     for (const auto &e : res.stats.entries) {
         if (e.name == "faults.injected") {
             sawInjected = true;
             EXPECT_GT(e.u, 0u);
         }
-        if (e.name == "faults.outq-corrupt.detected") {
-            sawDetected = true;
+        if (e.name == "faults.outq-stall.injected") {
+            sawSite = true;
             EXPECT_GT(e.u, 0u);
         }
         if (e.name == "sim.terminationReason") {
@@ -145,6 +133,6 @@ TEST(FaultInjection, StatsAppearInTheSnapshot)
         }
     }
     EXPECT_TRUE(sawInjected);
-    EXPECT_TRUE(sawDetected);
+    EXPECT_TRUE(sawSite);
     EXPECT_TRUE(sawTermination);
 }

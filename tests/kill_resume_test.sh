@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Crash-safety gate for supervised sweeps: SIGKILL a journaled tmu_run
+# Crash-safety gate for journaled sweeps: SIGKILL a journaled tmu_run
 # mid-sweep, resume from the journal, and require the resumed
 # JSON/CSV exports to be byte-identical to an uninterrupted reference
 # run of the same sweep.

@@ -292,7 +292,7 @@ TEST(Mutilator, TnsNeverCrashes)
 TEST(Mutilator, FaultSpecNeverCrashes)
 {
     Rng rng(0xC0FFEE);
-    const std::string good = "mem-lat=0.01:200,outq-corrupt=0.001";
+    const std::string good = "mem-lat=0.01:200,outq-stall=0.001";
     for (int trial = 0; trial < 2000; ++trial) {
         std::string bad = good;
         const std::size_t pos =

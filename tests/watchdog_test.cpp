@@ -3,7 +3,9 @@
  * Forward-progress watchdog: a stuck device must end the run with a
  * Deadlock (no memory activity) or Livelock (activity but no progress)
  * termination and a structured occupancy dump, instead of silently
- * spinning to the cycle cap.
+ * spinning to the cycle cap. Also the per-run budget trips (deadline,
+ * cycle budget, memory budget) in both scheduler modes, and the host
+ * probes they sample.
  */
 
 #include <gtest/gtest.h>
@@ -226,22 +228,6 @@ TEST(Watchdog, TerminationNames)
                  "mem-budget-exceeded");
 }
 
-TEST(Watchdog, TransientTerminationClassification)
-{
-    // Host-resource trips are worth retrying; deterministic simulated
-    // outcomes are not.
-    EXPECT_TRUE(
-        isTransientTermination(TerminationReason::DeadlineExceeded));
-    EXPECT_TRUE(
-        isTransientTermination(TerminationReason::MemBudgetExceeded));
-    EXPECT_FALSE(isTransientTermination(TerminationReason::Completed));
-    EXPECT_FALSE(isTransientTermination(TerminationReason::CycleCap));
-    EXPECT_FALSE(isTransientTermination(TerminationReason::Deadlock));
-    EXPECT_FALSE(isTransientTermination(TerminationReason::Livelock));
-    EXPECT_FALSE(isTransientTermination(
-        TerminationReason::CycleBudgetExceeded));
-}
-
 TEST(ProgressWatchdogUnit, SampleSemantics)
 {
     ProgressWatchdog wd(1000);
@@ -274,4 +260,197 @@ TEST(ProgressWatchdogUnit, DisabledNeverTrips)
     EXPECT_FALSE(wd.enabled());
     for (Cycle c = 1; c < 100'000; c += 1000)
         EXPECT_EQ(wd.sample(c, 0, 0), TerminationReason::Completed);
+}
+
+// ---------------------------------------------------------------------
+// System::run budget enforcement
+// ---------------------------------------------------------------------
+
+namespace {
+
+SystemConfig
+budgetConfig(bool dense)
+{
+    SystemConfig cfg;
+    cfg.cores = 1;
+    cfg.schedDense = dense;
+    return cfg;
+}
+
+/** Busy forever, but always making progress: no watchdog trip. */
+class BusyDevice : public Tickable
+{
+  public:
+    bool
+    tick(Cycle) override
+    {
+        ++progress_;
+        return true;
+    }
+    std::uint64_t progressCount() const override { return progress_; }
+
+  private:
+    std::uint64_t progress_ = 0;
+};
+
+} // namespace
+
+class BudgetBothScheds : public ::testing::TestWithParam<bool>
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(SchedModes, BudgetBothScheds,
+                         ::testing::Values(false, true),
+                         [](const auto &info) {
+                             return info.param ? "dense" : "event";
+                         });
+
+TEST_P(BudgetBothScheds, CycleBudgetTripsBeforeCap)
+{
+    SystemConfig cfg = budgetConfig(GetParam());
+    cfg.cycleBudget = 5'000;
+    System sys(cfg);
+    BusyDevice dev;
+    sys.addDevice(&dev);
+    const SimResult res = sys.run(/*maxCycles=*/10'000'000);
+    EXPECT_FALSE(res.completed());
+    EXPECT_EQ(res.termination, TerminationReason::CycleBudgetExceeded);
+    EXPECT_NE(res.diagnostic.find("cycle-budget-exceeded"),
+              std::string::npos)
+        << res.diagnostic;
+}
+
+TEST_P(BudgetBothScheds, CycleBudgetTieWinsTheName)
+{
+    // budget == cap: the explicit budget names the trip, not the
+    // implicit safety cap.
+    SystemConfig cfg = budgetConfig(GetParam());
+    cfg.cycleBudget = 5'000;
+    System sys(cfg);
+    BusyDevice dev;
+    sys.addDevice(&dev);
+    const SimResult res = sys.run(/*maxCycles=*/5'000);
+    EXPECT_EQ(res.termination, TerminationReason::CycleBudgetExceeded);
+}
+
+TEST_P(BudgetBothScheds, CycleBudgetAboveCapFallsBackToCycleCap)
+{
+    SystemConfig cfg = budgetConfig(GetParam());
+    cfg.cycleBudget = 50'000;
+    System sys(cfg);
+    BusyDevice dev;
+    sys.addDevice(&dev);
+    const SimResult res = sys.run(/*maxCycles=*/5'000);
+    EXPECT_EQ(res.termination, TerminationReason::CycleCap);
+}
+
+TEST_P(BudgetBothScheds, DeadlineTripsOnTheHostClock)
+{
+    SystemConfig cfg = budgetConfig(GetParam());
+    cfg.deadlineMs = 10;
+    System sys(cfg);
+    BusyDevice dev;
+    sys.addDevice(&dev);
+    // Injected clock: 0 at run entry, then far past the deadline.
+    std::uint64_t calls = 0;
+    sys.setMsClockForTest(
+        [&calls]() -> std::uint64_t { return calls++ == 0 ? 0 : 50; });
+    const SimResult res = sys.run(/*maxCycles=*/10'000'000);
+    EXPECT_EQ(res.termination, TerminationReason::DeadlineExceeded);
+    EXPECT_NE(res.diagnostic.find("deadline-exceeded"),
+              std::string::npos)
+        << res.diagnostic;
+    // Tripped at the first poll boundary, not the cycle cap.
+    EXPECT_LT(res.cycles, 100'000u);
+}
+
+TEST_P(BudgetBothScheds, DeadlockBeatsDeadlineInTheSameInterval)
+{
+    // A stuck device with the watchdog window equal to one poll
+    // interval: the watchdog trips at the second poll. The injected
+    // clock stays under the deadline for exactly the clock reads that
+    // happen before that poll (run entry + first poll's deadline
+    // check) and would report the deadline blown from then on. The
+    // watchdog is sampled before the budget checks, so the run must
+    // still be classified Deadlock — a diagnosable hang, not a
+    // host-resource trip.
+    SystemConfig cfg = budgetConfig(GetParam());
+    cfg.watchdogCycles = 1'024; // == the poll interval
+    cfg.deadlineMs = 1;
+    System sys(cfg);
+    StuckDevice dev;
+    sys.addDevice(&dev);
+    std::uint64_t calls = 0;
+    sys.setMsClockForTest([&calls]() -> std::uint64_t {
+        return calls++ < 2 ? 0 : 1'000'000;
+    });
+    const SimResult res = sys.run(/*maxCycles=*/10'000'000);
+    EXPECT_EQ(res.termination, TerminationReason::Deadlock)
+        << res.diagnostic;
+}
+
+TEST_P(BudgetBothScheds, DeadlineWinsWhenTheWatchdogIsPatient)
+{
+    // Same stuck device, but the watchdog window is far longer than
+    // the deadline: the deadline trip fires first.
+    SystemConfig cfg = budgetConfig(GetParam());
+    cfg.watchdogCycles = 100'000'000;
+    cfg.deadlineMs = 10;
+    System sys(cfg);
+    StuckDevice dev;
+    sys.addDevice(&dev);
+    std::uint64_t calls = 0;
+    sys.setMsClockForTest(
+        [&calls]() -> std::uint64_t { return calls++ == 0 ? 0 : 50; });
+    const SimResult res = sys.run(/*maxCycles=*/10'000'000);
+    EXPECT_EQ(res.termination, TerminationReason::DeadlineExceeded);
+}
+
+TEST_P(BudgetBothScheds, MemBudgetTripsWhenResidentSetExceedsIt)
+{
+    if (hostResidentBytes() == 0)
+        GTEST_SKIP() << "no resident-set probe on this host";
+    SystemConfig cfg = budgetConfig(GetParam());
+    cfg.memBudgetBytes = 1; // any real process is over this
+    System sys(cfg);
+    StuckDevice dev;
+    sys.addDevice(&dev);
+    const SimResult res = sys.run(/*maxCycles=*/10'000'000);
+    EXPECT_EQ(res.termination, TerminationReason::MemBudgetExceeded);
+    EXPECT_NE(res.diagnostic.find("mem-budget-exceeded"),
+              std::string::npos)
+        << res.diagnostic;
+}
+
+TEST_P(BudgetBothScheds, GenerousBudgetsDoNotPerturbACleanRun)
+{
+    SystemConfig cfg = budgetConfig(GetParam());
+    cfg.deadlineMs = 1'000'000;
+    cfg.cycleBudget = 1'000'000'000;
+    cfg.memBudgetBytes = std::uint64_t{1} << 40; // 1 TiB
+    System sys(cfg);
+    const SimResult res = sys.run();
+    EXPECT_TRUE(res.completed());
+    EXPECT_EQ(res.termination, TerminationReason::Completed);
+}
+
+// ---------------------------------------------------------------------
+// Host probes
+// ---------------------------------------------------------------------
+
+TEST(HostProbes, MonotonicClockAdvancesOrAtLeastHolds)
+{
+    const std::uint64_t a = hostMonotonicMs();
+    const std::uint64_t b = hostMonotonicMs();
+    EXPECT_GE(b, a);
+}
+
+TEST(HostProbes, ResidentBytesIsPlausibleWhenAvailable)
+{
+    const std::uint64_t rss = hostResidentBytes();
+    if (rss == 0)
+        GTEST_SKIP() << "no resident-set probe on this host";
+    // A gtest binary is at least 1 MiB and under 1 TiB resident.
+    EXPECT_GT(rss, std::uint64_t{1} << 20);
+    EXPECT_LT(rss, std::uint64_t{1} << 40);
 }

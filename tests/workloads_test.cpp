@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -91,11 +92,8 @@ TEST_P(WorkloadScaleOut, BothPathsVerifyAt65Cores)
 }
 
 // The registry in full: the Fig. 10 set plus the Unlisted workloads.
-INSTANTIATE_TEST_SUITE_P(
-    EveryWorkload, WorkloadScaleOut,
-    ::testing::Values("SpMV", "PR", "SpMSpM", "TC", "SpKAdd", "SpAdd",
-                      "SDDMM", "SpMM", "SpMM-SC", "MTTKRP_MP",
-                      "MTTKRP_CP", "SpTC", "CP-ALS"));
+INSTANTIATE_TEST_SUITE_P(EveryWorkload, WorkloadScaleOut,
+                         ::testing::ValuesIn(registeredWorkloads()));
 
 TEST(Workloads, SpaddBaselineCyclesIgnoreHeapHistory)
 {
@@ -363,7 +361,15 @@ TEST(Workloads, SensitivityConfigsVerify)
 TEST(Workloads, RegistryKnowsAll)
 {
     EXPECT_EQ(allWorkloads().size(), 9u); // SpAdd is Fig.3-only
+    const std::vector<std::string> every = registeredWorkloads();
+    // The Fig. 10 set plus SpAdd and the three einsum-only workloads.
+    EXPECT_EQ(every.size(), 13u);
     for (const auto &name : allWorkloads()) {
+        EXPECT_NE(std::find(every.begin(), every.end(), name),
+                  every.end())
+            << name;
+    }
+    for (const auto &name : every) {
         auto wl = makeWorkload(name);
         EXPECT_EQ(wl->name(), name);
         EXPECT_FALSE(wl->inputs().empty());

@@ -4,9 +4,8 @@
  * execution path with configurable knobs and print the full result.
  *
  *   tmu_run [options]
- *     --workload NAMES  comma-separated list of
- *                       SpMV|SpMSpM|SpKAdd|PR|TC|SpAdd|MTTKRP_MP|
- *                       MTTKRP_CP|SpTC|CP-ALS           (default SpMV)
+ *     --workload NAMES  comma-separated list of registered
+ *                       workloads (see --list)          (default SpMV)
  *     --input ID        M1..M6 / T1..T4                 (default first)
  *     --mode M          baseline|tmu|both               (default both)
  *     --scale N         input scale divisor             (default 128)
@@ -41,12 +40,6 @@
  *                       termination cycle-budget-exceeded
  *     --mem-budget-mb N per-run host resident-set budget (0 = off);
  *                       termination mem-budget-exceeded
- *     --retries N       retry a task up to N times after a transient
- *                       failure (deadline/mem-budget trip or an
- *                       injected task-fail fault), with exponential
- *                       backoff and deterministic seeded jitter;
- *                       3 consecutive failed attempts quarantine the
- *                       task (status "quarantined")
  *     --journal P       append one JSONL outcome record per finished
  *                       task to P (crash-safe: flushed per record);
  *                       refuses an existing non-empty P unless
@@ -55,9 +48,8 @@
  *                       re-run only the rest, and keep appending to P.
  *                       The resumed sweep's --stats-json/--stats-csv
  *                       are byte-identical to an uninterrupted run
- *     --fault-spec S    enable fault injection, e.g.
- *                       "mem-lat=0.01:200,outq-corrupt=0.001"
- *                       (site task-fail drives the retry machinery)
+ *     --fault-spec S    enable timing-only fault injection, e.g.
+ *                       "mem-lat=0.01:200,outq-stall=0.02:32"
  *     --fault-seed N    fault injection seed             (default 1)
  *     --stats-json P    write the full stat registry as JSON to P
  *     --stats-csv P     write the full stat registry as CSV to P
@@ -78,41 +70,48 @@
  *                       PlanSpec and its TmuProgram::summary(), exit
  *     --einsum "E"      same, for an arbitrary annotated expression
  *                       compiled against synthetic demo operands
- *     --list            list workloads and exit
+ *     --list            list every registered workload and exit
+ *
+ * Numeric options take the whole token as a decimal integer in the
+ * option's range (no sign where only non-negative values make sense).
  *
  * Long sweeps report live progress on stderr — completed/total tasks,
  * elapsed time and ETA — refreshed as tasks finish; automatically
  * disabled when stderr is not a TTY or --quiet is given.
  *
  * Robustness contract: an unknown workload name, an input id the
- * workload does not accept, a malformed fault spec, or an exception
- * thrown by one task never kills a multi-workload sweep. Every
- * workload reports a status in the JSON export — "ok", "error"
- * (never ran), "failed", "quarantined" (circuit breaker) or
- * "interrupted" — and the exit code summarizes the sweep:
+ * workload does not accept, or an exception thrown by one task never
+ * kills a multi-workload sweep. Every workload reports a status in the
+ * JSON export — "ok", "error" (never ran), "failed" or "interrupted" —
+ * and the exit code summarizes the sweep:
  *
  *   0  every workload ran and verified
- *   2  bad arguments / cannot start (usage, bad spec, bad journal)
+ *   2  bad arguments or a configuration validate() rejects (usage,
+ *      bad number, bad spec, bad journal); nothing is prepared
  *   3  partial failure: some workloads ok, some not
  *   4  every workload failed
  *   5  interrupted (SIGINT/SIGTERM): in-flight tasks drained, journal
  *      flushed, partial exports written
  *
- * Sweep structure: workloads are *prepared* serially on the main
+ * Sweep structure: every task shares one RunConfig, validated before
+ * anything is prepared. Workloads are *prepared* serially on the main
  * thread in command-line order (input generation prints progress as it
- * goes), then *run* on a SweepRunner pool, each under a JobSupervisor
- * that enforces the retry/backoff/quarantine policy. Each task owns
- * its Workload, System and FaultInjector, prints into a private
- * buffer, and the buffers are flushed in command-line order — so
- * stdout, JSON and CSV are byte-identical for any --jobs value.
+ * goes), then *run* once each on a SweepRunner pool. A task is "ok"
+ * when none of its runs threw and every run completed and verified;
+ * otherwise it is "failed". Each task owns its Workload, System and
+ * FaultInjector, prints into a private buffer, and the buffers are
+ * flushed in command-line order — so stdout, JSON and CSV are
+ * byte-identical for any --jobs value.
  */
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -127,7 +126,7 @@
 #include "common/writers.hpp"
 #include "sim/fault.hpp"
 #include "sim/statsdump.hpp"
-#include "sim/supervisor.hpp"
+#include "sim/journal.hpp"
 #include "sim/sweep.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/watchdog.hpp"
@@ -225,10 +224,9 @@ struct WorkloadOutcome
     std::string name;
     std::string input;
     std::string error; //!< empty unless the workload never ran
-    /** "ok", "error", "failed", "quarantined" or "interrupted". */
+    /** "ok", "error", "failed" or "interrupted". */
     std::string status;
     bool verified = false;
-    sim::SupervisorStats sup;
     std::vector<std::pair<std::string, RunResult>> runs;
     /** Per-run interval telemetry (only with --telemetry-json/csv). */
     std::vector<
@@ -246,7 +244,6 @@ struct SweepTask
 {
     WorkloadOutcome outcome;
     std::unique_ptr<Workload> wl; //!< null when not (re-)running
-    RunConfig cfg;
     /**
      * Position in the *full* command-line task list, independent of
      * any --shard filtering — journal records carry this index so
@@ -272,25 +269,10 @@ terminationFromName(const std::string &name)
     }
 }
 
-void
-writeSupervisorObject(stats::JsonWriter &jw,
-                      const sim::SupervisorStats &s)
-{
-    jw.beginObject();
-    jw.key("attempts").value(s.attempts);
-    jw.key("retries").value(s.retries);
-    jw.key("backoffCycles").value(s.backoffCycles);
-    jw.key("quarantined").value(s.quarantined);
-    jw.key("taskFail.injected").value(s.taskFailInjected);
-    jw.key("taskFail.detected").value(s.taskFailDetected);
-    jw.endObject();
-}
-
 /**
  * One JSON document covering every requested workload:
  * {"meta": {...},
  *  "workloads": {"SpMV": {"status": "ok", "verified": true,
- *                         "supervisor": {...},
  *                         "runs": {"baseline": {...}, "tmu": {...}}},
  *                "Bogus": {"status": "error", "error": "..."}}}
  */
@@ -316,8 +298,6 @@ exportJson(const stats::MetaList &meta,
         jw.key("status").value(wo.status.empty() ? "ok" : wo.status);
         jw.key("input").value(wo.input);
         jw.key("verified").value(wo.verified);
-        jw.key("supervisor");
-        writeSupervisorObject(jw, wo.sup);
         jw.key("runs").beginObject();
         for (const auto &[name, r] : wo.runs) {
             jw.key(name).beginObject();
@@ -354,23 +334,6 @@ exportCsv(const std::vector<WorkloadOutcome> &outcomes)
                         ? std::to_string(e.u)
                         : stats::JsonWriter::number(e.f);
                 csv.row({wo.name, name, e.name, value, e.desc});
-            }
-        }
-        if (wo.error.empty()) {
-            const std::pair<const char *, std::uint64_t> rows[] = {
-                {"supervisor.attempts", wo.sup.attempts},
-                {"supervisor.retries", wo.sup.retries},
-                {"supervisor.backoffCycles", wo.sup.backoffCycles},
-                {"supervisor.quarantined", wo.sup.quarantined},
-                {"supervisor.taskFail.injected",
-                 wo.sup.taskFailInjected},
-                {"supervisor.taskFail.detected",
-                 wo.sup.taskFailDetected},
-            };
-            for (const auto &[name, v] : rows) {
-                csv.row({wo.name, "supervisor", name,
-                         std::to_string(v),
-                         "task supervision counter"});
             }
         }
     }
@@ -478,7 +441,7 @@ usage(const char *argv0)
                          "[--tlb] [--shrink-caches] "
                          "[--watchdog-cycles N] [--deadline-ms N] "
                          "[--cycle-budget N] [--mem-budget-mb N] "
-                         "[--retries N] [--journal P] [--resume P] "
+                         "[--journal P] [--resume P] "
                          "[--fault-spec S] "
                          "[--fault-seed N] [--stats-json P] "
                          "[--stats-csv P] [--telemetry-json P] "
@@ -488,6 +451,29 @@ usage(const char *argv0)
                          "[--einsum E] [--list]\n",
                  argv0);
     std::exit(kExitBadArgs);
+}
+
+/**
+ * The value of numeric option @p flag: all of @p text as a decimal
+ * integer in [lo, hi]. Anything else (empty, trailing junk, a sign on
+ * an unsigned option, out of range) exits 2 with a diagnostic.
+ */
+template <typename T>
+T
+intArg(const char *flag, const std::string &text, T lo, T hi)
+{
+    T v{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc{} || ptr != end || v < lo || v > hi) {
+        std::fprintf(stderr,
+                     "tmu_run: %s wants an integer in [%s, %s], got "
+                     "'%s'\n",
+                     flag, std::to_string(lo).c_str(),
+                     std::to_string(hi).c_str(), text.c_str());
+        std::exit(kExitBadArgs);
+    }
+    return v;
 }
 
 /** Split "a,b,c" into its non-empty fields. */
@@ -620,7 +606,6 @@ main(int argc, char **argv)
     std::uint64_t deadlineMs = 0;
     Cycle cycleBudget = 0;
     std::uint64_t memBudgetMb = 0;
-    int retries = 0;
     std::string journalPath, resumePath;
     std::string planDump, einsumExpr;
     bool dumpText = false;
@@ -633,7 +618,7 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
-        // String-valued flags accept both `--flag V` and `--flag=V`.
+        // Valued flags accept both `--flag V` and `--flag=V`.
         auto strFlag = [&](const char *flag, std::string &dst) {
             const std::string eq = std::string(flag) + "=";
             if (arg == flag) {
@@ -646,7 +631,17 @@ main(int argc, char **argv)
             }
             return false;
         };
-        std::string num;
+        auto intFlag = [&](const char *flag, auto &dst, auto lo,
+                           auto hi) {
+            using T = std::remove_reference_t<decltype(dst)>;
+            std::string text;
+            if (!strFlag(flag, text))
+                return false;
+            dst = intArg<T>(flag, text, lo, hi);
+            return true;
+        };
+        constexpr auto kIntMax = std::numeric_limits<int>::max();
+        constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
         if (strFlag("--stats-json", statsJson) ||
             strFlag("--stats-csv", statsCsv) ||
             strFlag("--telemetry-json", telemetryJson) ||
@@ -663,72 +658,29 @@ main(int argc, char **argv)
             strFlag("--mesh", meshSpec) ||
             strFlag("--partition", partitionName) ||
             strFlag("--shard", shardSpec) ||
-            strFlag("--fault-spec", faultSpecText))
+            strFlag("--fault-spec", faultSpecText) ||
+            intFlag("--scale", scale, Index{1},
+                    std::numeric_limits<Index>::max()) ||
+            intFlag("--cores", cores, 1, kIntMax) ||
+            intFlag("--llc-slices", llcSlices, 1, kIntMax) ||
+            intFlag("--mem-channels", memChannels, 1, kIntMax) ||
+            intFlag("--lanes", lanes, 1, engine::kMaxLanes) ||
+            intFlag("--sve", sve, 1, kIntMax) ||
+            intFlag("--storage", storage, engine::kMinPerLaneBytes,
+                    std::numeric_limits<std::size_t>::max()) ||
+            intFlag("--jobs", jobs, 0, kIntMax) ||
+            intFlag("--fault-seed", faultSeed, 0, kU64Max) ||
+            intFlag("--watchdog-cycles", watchdogCycles, 0, kU64Max) ||
+            intFlag("--deadline-ms", deadlineMs, 0, kU64Max) ||
+            intFlag("--cycle-budget", cycleBudget, 0, kU64Max) ||
+            intFlag("--mem-budget-mb", memBudgetMb, 0, kU64Max >> 20) ||
+            intFlag("--telemetry-interval", telemetryInterval, 0,
+                    kU64Max))
             continue;
-        if (strFlag("--llc-slices", num)) {
-            llcSlices = std::atoi(num.c_str());
-            if (llcSlices < 1)
-                usage(argv[0]);
-            continue;
-        }
-        if (strFlag("--mem-channels", num)) {
-            memChannels = std::atoi(num.c_str());
-            if (memChannels < 1)
-                usage(argv[0]);
-            continue;
-        }
-        if (strFlag("--fault-seed", num)) {
-            faultSeed = std::strtoull(num.c_str(), nullptr, 10);
-            continue;
-        }
-        if (strFlag("--watchdog-cycles", num)) {
-            watchdogCycles = std::strtoull(num.c_str(), nullptr, 10);
-            continue;
-        }
-        if (strFlag("--deadline-ms", num)) {
-            deadlineMs = std::strtoull(num.c_str(), nullptr, 10);
-            continue;
-        }
-        if (strFlag("--cycle-budget", num)) {
-            cycleBudget = std::strtoull(num.c_str(), nullptr, 10);
-            continue;
-        }
-        if (strFlag("--mem-budget-mb", num)) {
-            memBudgetMb = std::strtoull(num.c_str(), nullptr, 10);
-            continue;
-        }
-        if (strFlag("--retries", num)) {
-            retries = std::atoi(num.c_str());
-            if (retries < 0)
-                usage(argv[0]);
-            continue;
-        }
-        if (strFlag("--telemetry-interval", num)) {
-            telemetryInterval = std::strtoull(num.c_str(), nullptr, 10);
-            if (telemetryInterval == 0)
-                telemetryInterval = 1;
-            continue;
-        }
-        if (arg == "--quiet") {
+        if (arg == "--quiet")
             quiet = true;
-            continue;
-        }
-        if (arg == "--dump-stats") {
+        else if (arg == "--dump-stats")
             dumpText = true;
-            continue;
-        }
-        if (arg == "--scale")
-            scale = std::atoll(next());
-        else if (arg == "--cores")
-            cores = std::atoi(next());
-        else if (arg == "--lanes")
-            lanes = std::atoi(next());
-        else if (arg == "--sve")
-            sve = std::atoi(next());
-        else if (arg == "--storage")
-            storage = static_cast<std::size_t>(std::atoll(next()));
-        else if (arg == "--jobs")
-            jobs = std::atoi(next());
         else if (arg == "--imp")
             imp = true;
         else if (arg == "--tlb")
@@ -736,35 +688,21 @@ main(int argc, char **argv)
         else if (arg == "--shrink-caches")
             shrink = true;
         else if (arg == "--list") {
-            for (const auto &name : allWorkloads())
+            for (const auto &name : registeredWorkloads())
                 std::printf("%s\n", name.c_str());
-            std::printf("SpAdd\n");
             return kExitOk;
         } else {
             usage(argv[0]);
         }
     }
 
+    if (telemetryInterval == 0)
+        telemetryInterval = 1;
     if (!planDump.empty() && !einsumExpr.empty()) {
         std::fprintf(stderr, "tmu_run: --plan-dump and --einsum are "
                              "mutually exclusive\n");
         return kExitBadArgs;
     }
-    if (!planDump.empty() || !einsumExpr.empty())
-        return dumpPlan(planDump, einsumExpr, lanes);
-
-    const bool runBaseline = mode == "baseline" || mode == "both";
-    const bool runTmu = mode == "tmu" || mode == "both";
-    if (!runBaseline && !runTmu) {
-        std::fprintf(stderr, "tmu_run: unknown mode '%s'\n",
-                     mode.c_str());
-        usage(argv[0]);
-    }
-    if (jobs < 0) {
-        std::fprintf(stderr, "tmu_run: --jobs must be >= 0\n");
-        usage(argv[0]);
-    }
-    jobs = sim::SweepRunner::resolveJobs(jobs);
 
     // A bad fault spec or preset is a command-line error, not a
     // per-workload one: nothing would run the way the user asked.
@@ -811,6 +749,42 @@ main(int argc, char **argv)
     }
     const PartitionKind partitionKind = *partitionE;
 
+    // The one RunConfig every task shares. It is validated before
+    // anything is prepared: a configuration validate() rejects is a
+    // command-line error, not a per-workload one.
+    RunConfig runCfg;
+    runCfg.system = sysCfg;
+    runCfg.system.cores = cores;
+    runCfg.system.simdBits = sve;
+    runCfg.system.impPrefetcher = imp;
+    runCfg.system.modelTlb = tlb;
+    runCfg.system.watchdogCycles = watchdogCycles;
+    runCfg.system.deadlineMs = deadlineMs;
+    runCfg.system.cycleBudget = cycleBudget;
+    runCfg.system.memBudgetBytes = memBudgetMb << 20;
+    if (shrink)
+        runCfg.system = shrinkCaches(runCfg.system, scale);
+    runCfg.partition = partitionKind;
+    runCfg.programLanes = lanes;
+    runCfg.tmu.lanes = lanes;
+    runCfg.tmu.perLaneBytes = storage;
+    if (auto v = runCfg.system.validate(); !v) {
+        std::fprintf(stderr, "tmu_run: %s\n", v.error().str().c_str());
+        return kExitBadArgs;
+    }
+
+    if (!planDump.empty() || !einsumExpr.empty())
+        return dumpPlan(planDump, einsumExpr, lanes);
+
+    const bool runBaseline = mode == "baseline" || mode == "both";
+    const bool runTmu = mode == "tmu" || mode == "both";
+    if (!runBaseline && !runTmu) {
+        std::fprintf(stderr, "tmu_run: unknown mode '%s'\n",
+                     mode.c_str());
+        usage(argv[0]);
+    }
+    jobs = sim::SweepRunner::resolveJobs(jobs);
+
     // --shard i/N: this invocation owns the tasks whose name hashes to
     // residue i. The split is a pure function of the task name, so the
     // same sweep sharded any way always lands each task on exactly one
@@ -824,16 +798,10 @@ main(int argc, char **argv)
                          shardSpec.c_str());
             return kExitBadArgs;
         }
-        shardIndex = std::atoi(shardSpec.substr(0, slash).c_str());
-        shardCount = std::atoi(shardSpec.substr(slash + 1).c_str());
-        if (shardCount < 1 || shardIndex < 0 ||
-            shardIndex >= shardCount) {
-            std::fprintf(stderr,
-                         "tmu_run: --shard index must be in [0, N), "
-                         "got '%s'\n",
-                         shardSpec.c_str());
-            return kExitBadArgs;
-        }
+        shardCount = intArg("--shard", shardSpec.substr(slash + 1), 1,
+                            std::numeric_limits<int>::max());
+        shardIndex = intArg("--shard", shardSpec.substr(0, slash), 0,
+                            shardCount - 1);
     }
 
     const std::vector<std::string> names = splitList(workloadArg);
@@ -886,7 +854,6 @@ main(int argc, char **argv)
         {"deadlineMs", std::to_string(deadlineMs)},
         {"cycleBudget", std::to_string(cycleBudget)},
         {"memBudgetMb", std::to_string(memBudgetMb)},
-        {"retries", std::to_string(retries)},
         {"faultSpec", faultSpecText},
         {"faultSeed", std::to_string(faultSeed)},
     });
@@ -924,15 +891,20 @@ main(int argc, char **argv)
     installStopHandlers();
 
     stats::TraceWriter tracer;
-    if (!traceOut.empty() && jobs > 1) {
-        // The timeline writer is one shared event stream; interleaving
-        // pool threads into it would scramble the trace.
-        std::fprintf(stderr, "tmu_run: --trace-out forces --jobs 1\n");
-        jobs = 1;
+    if (!traceOut.empty()) {
+        runCfg.trace = &tracer;
+        if (jobs > 1) {
+            // The timeline writer is one shared event stream;
+            // interleaving pool threads into it would scramble the
+            // trace.
+            std::fprintf(stderr,
+                         "tmu_run: --trace-out forces --jobs 1\n");
+            jobs = 1;
+        }
     }
 
-    // Phase 1 (serial, command-line order): construct, validate and
-    // prepare every workload. Trace pids are assigned here so they do
+    // Phase 1 (serial, command-line order): construct and prepare
+    // every workload. Trace pids are assigned here so they do
     // not depend on the pool's execution order. Tasks already in the
     // resume journal skip preparation entirely — their outcome is
     // reconstructed from the record instead.
@@ -963,7 +935,6 @@ main(int argc, char **argv)
             wo.status = rec->status;
             wo.error = rec->error;
             wo.verified = rec->verified;
-            wo.sup = rec->sup;
             task.output = rec->output;
             for (const sim::TaskRunRecord &run : rec->runs) {
                 RunResult r;
@@ -1020,40 +991,12 @@ main(int argc, char **argv)
                     workload.c_str(), task.outcome.input.c_str(),
                     static_cast<long long>(scale));
         wl->prepare(task.outcome.input, scale);
-
-        RunConfig cfg;
-        cfg.system = sysCfg;
-        cfg.system.cores = cores;
-        cfg.system.simdBits = sve;
-        cfg.system.impPrefetcher = imp;
-        cfg.system.modelTlb = tlb;
-        cfg.system.watchdogCycles = watchdogCycles;
-        cfg.system.deadlineMs = deadlineMs;
-        cfg.system.cycleBudget = cycleBudget;
-        cfg.system.memBudgetBytes = memBudgetMb << 20;
-        if (shrink)
-            cfg.system = shrinkCaches(cfg.system, scale);
-        cfg.partition = partitionKind;
-        cfg.programLanes = lanes;
-        cfg.tmu.lanes = std::max(lanes, 1);
-        cfg.tmu.perLaneBytes = storage;
-        if (auto v = cfg.system.validate(); !v) {
-            task.outcome.error = v.error().str();
-            task.outcome.status = "error";
-            std::fprintf(stderr, "tmu_run: skipping: %s\n",
-                         task.outcome.error.c_str());
-            tasks.push_back(std::move(task));
-            continue;
-        }
         if (!bannerShown) {
-            std::printf("%s\n\n", cfg.system.describe().c_str());
+            std::printf("%s\n\n", runCfg.system.describe().c_str());
             bannerShown = true;
         }
-        if (!traceOut.empty())
-            cfg.trace = &tracer;
 
         task.wl = std::move(wl);
-        task.cfg = cfg;
         task.tracePidBase = nextTracePid;
         nextTracePid += (runBaseline ? 1 : 0) + (runTmu ? 1 : 0);
         tasks.push_back(std::move(task));
@@ -1083,10 +1026,12 @@ main(int argc, char **argv)
         };
     }
 
-    // Phase 2 (parallel): execute the prepared tasks, each under a
-    // JobSupervisor. Each closure touches only its own SweepTask (the
-    // journal serializes internally); the shared tracer is only ever
-    // reachable when --trace-out forced jobs back to 1 above.
+    // Phase 2 (parallel): run each prepared task once. Each closure
+    // touches only its own SweepTask (the journal serializes
+    // internally); the shared tracer is only ever reachable when
+    // --trace-out forced jobs back to 1 above.
+    const bool wantTelemetry =
+        !telemetryJson.empty() || !telemetryCsv.empty();
     const sim::SweepRunner runner(jobs);
     const auto stopRequested = [] { return gStop != 0; };
     runner.run(tasks.size(), [&](std::size_t idx) {
@@ -1094,125 +1039,71 @@ main(int argc, char **argv)
         if (task.wl == nullptr)
             return; // error, interrupted-before-prepare, or replayed
         WorkloadOutcome &wo = task.outcome;
+        RunConfig cfg = runCfg;
+        int pid = task.tracePidBase;
+        wo.verified = true;
+        bool completed = true;
 
-        // Independent, reproducible streams per workload: one for the
-        // task-fail site, one for backoff jitter — sweep composition
-        // and job count never shift the decisions.
-        sim::FaultInjector supFaults(
-            mixSeed(faultSeed, wo.name + ":supervisor"), faultSpec);
-        sim::SupervisorConfig supCfg;
-        supCfg.maxRetries = retries;
-        supCfg.seed = mixSeed(faultSeed, wo.name + ":backoff");
-        supCfg.sleepOnBackoff = true;
-        supCfg.stopRequested = stopRequested;
-        sim::JobSupervisor supervisor(
-            supCfg, wo.name, faultSpec.any() ? &supFaults : nullptr);
-
-        const bool wantTelemetry =
-            !telemetryJson.empty() || !telemetryCsv.empty();
-        const auto attempt = [&]() -> sim::AttemptStatus {
-            // A retry replays the task from scratch: fresh per-run
-            // fault streams (same seeds), cleared results — so a
-            // retried attempt is bit-identical to a first attempt.
-            wo.runs.clear();
-            wo.telemetry.clear();
-            wo.verified = true;
-            task.output.clear();
-            RunConfig cfg = task.cfg;
-            int pid = task.tracePidBase;
-            bool threw = false;
-
-            auto runOne = [&](Mode m, const char *runName) {
-                sim::FaultInjector faults(
-                    mixSeed(faultSeed, wo.name + ":" + runName),
-                    faultSpec);
-                cfg.mode = m;
-                cfg.faults = faultSpec.any() ? &faults : nullptr;
-                cfg.tracePid = pid++;
-                std::unique_ptr<sim::TelemetrySampler> sampler;
-                if (wantTelemetry) {
-                    sampler = std::make_unique<sim::TelemetrySampler>(
-                        telemetryInterval);
-                    cfg.telemetry = sampler.get();
+        auto runOne = [&](Mode m, const char *runName) {
+            // Per-run fault stream keyed by task and run name: sweep
+            // composition and job count never shift the decisions.
+            sim::FaultInjector faults(
+                mixSeed(faultSeed, wo.name + ":" + runName), faultSpec);
+            cfg.mode = m;
+            cfg.faults = faultSpec.any() ? &faults : nullptr;
+            cfg.tracePid = pid++;
+            std::unique_ptr<sim::TelemetrySampler> sampler;
+            if (wantTelemetry) {
+                sampler = std::make_unique<sim::TelemetrySampler>(
+                    telemetryInterval);
+                cfg.telemetry = sampler.get();
+            }
+            if (!traceOut.empty()) {
+                tracer.processName(cfg.tracePid,
+                                   wo.name + ":" + runName);
+            }
+            try {
+                RunResult r = task.wl->run(cfg);
+                if (sampler != nullptr) {
+                    wo.telemetry.emplace_back(runName,
+                                              std::move(sampler));
                 }
-                if (!traceOut.empty()) {
-                    tracer.processName(cfg.tracePid,
-                                       wo.name + ":" + runName);
-                }
-                try {
-                    RunResult r = task.wl->run(cfg);
-                    if (sampler != nullptr) {
-                        wo.telemetry.emplace_back(runName,
-                                                  std::move(sampler));
-                    }
-                    task.output +=
-                        detail::format("[%s] ", wo.name.c_str());
-                    appendResult(task.output, runName, r);
-                    if (faultSpec.any()) {
-                        const auto t = faults.totals();
-                        task.output += detail::format(
-                            "faults: %llu injected, %llu masked, "
-                            "%llu detected%s\n",
-                            static_cast<unsigned long long>(t.injected),
-                            static_cast<unsigned long long>(t.masked),
-                            static_cast<unsigned long long>(t.detected),
-                            faults.allAccounted() ? ""
-                                                  : " (UNACCOUNTED)");
-                    }
-                    wo.verified = wo.verified && r.verified;
-                    wo.runs.emplace_back(runName, std::move(r));
-                } catch (const std::exception &e) {
-                    // One crashing task must not kill the sweep: the
-                    // exception is the attempt's failure, reported
-                    // through the status taxonomy like any other.
-                    threw = true;
-                    wo.verified = false;
+                task.output += detail::format("[%s] ", wo.name.c_str());
+                appendResult(task.output, runName, r);
+                if (faultSpec.any()) {
                     task.output += detail::format(
-                        "[%s] %s run threw: %s\n", wo.name.c_str(),
-                        runName, e.what());
+                        "faults: %llu injected\n",
+                        static_cast<unsigned long long>(
+                            faults.totalInjected()));
                 }
-            };
-
-            if (runBaseline)
-                runOne(Mode::Baseline, "baseline");
-            if (runTmu)
-                runOne(Mode::Tmu, "tmu");
-            if (mode == "both" && wo.runs.size() == 2 &&
-                wo.runs[1].second.sim.cycles > 0) {
+                wo.verified = wo.verified && r.verified;
+                completed = completed && r.sim.completed();
+                wo.runs.emplace_back(runName, std::move(r));
+            } catch (const std::exception &e) {
+                // One crashing task must not kill the sweep: the
+                // exception fails this task like any other failure
+                // (a task that threw is never verified).
+                wo.verified = false;
                 task.output += detail::format(
-                    "speedup: %.2fx\n\n",
-                    static_cast<double>(
-                        wo.runs[0].second.sim.cycles) /
-                        static_cast<double>(
-                            wo.runs[1].second.sim.cycles));
+                    "[%s] %s run threw: %s\n", wo.name.c_str(), runName,
+                    e.what());
             }
-
-            if (threw)
-                return sim::AttemptStatus::PermanentFailure;
-            bool transient = false;
-            for (const auto &[name, r] : wo.runs) {
-                if (r.sim.completed())
-                    continue;
-                if (sim::isTransientTermination(r.sim.termination))
-                    transient = true;
-                else
-                    return sim::AttemptStatus::PermanentFailure;
-            }
-            if (transient)
-                return sim::AttemptStatus::TransientFailure;
-            return wo.verified
-                       ? sim::AttemptStatus::Ok
-                       : sim::AttemptStatus::PermanentFailure;
         };
 
-        const sim::TaskStatus st = supervisor.supervise(attempt);
-        wo.status = sim::taskStatusName(st);
-        wo.sup = supervisor.stats();
+        if (runBaseline)
+            runOne(Mode::Baseline, "baseline");
+        if (runTmu)
+            runOne(Mode::Tmu, "tmu");
+        if (mode == "both" && wo.runs.size() == 2 &&
+            wo.runs[1].second.sim.cycles > 0) {
+            task.output += detail::format(
+                "speedup: %.2fx\n\n",
+                static_cast<double>(wo.runs[0].second.sim.cycles) /
+                    static_cast<double>(wo.runs[1].second.sim.cycles));
+        }
+        wo.status = wo.verified && completed ? "ok" : "failed";
 
-        // Interrupted attempts are deliberately not journaled: the
-        // task never reached a terminal result, so a resume re-runs
-        // it from scratch.
-        if (journal.isOpen() && st != sim::TaskStatus::Interrupted) {
+        if (journal.isOpen()) {
             sim::TaskRecord rec;
             rec.index = task.globalIndex;
             rec.task = wo.name;
@@ -1221,7 +1112,6 @@ main(int argc, char **argv)
             rec.error = wo.error;
             rec.output = task.output;
             rec.verified = wo.verified;
-            rec.sup = wo.sup;
             for (const auto &[name, r] : wo.runs) {
                 rec.runs.push_back(
                     {name, sim::terminationName(r.sim.termination),
@@ -1251,7 +1141,7 @@ main(int argc, char **argv)
         else if (st == "interrupted")
             interrupted = true;
         else
-            ++failCount; // "error", "failed", "quarantined"
+            ++failCount; // "error" or "failed"
         outcomes.push_back(std::move(task.outcome));
     }
 

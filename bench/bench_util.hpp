@@ -56,33 +56,12 @@ scaleFor(const workloads::Workload &wl)
     return wl.inputs().front()[0] == 'T' ? tensorScale() : matrixScale();
 }
 
-/**
- * Shrink the cache hierarchy by the input scale divisor (floors keep
- * every cache structurally valid). The evaluation scales inputs down
- * by TMU_SCALE_*; capacity-to-working-set ratios — which the paper's
- * effects key on (gathers missing caches, workspaces thrashing) — are
- * preserved by shrinking the machine with the data. Latencies, widths
- * and MSHR counts stay at their Table 5 values.
- */
-inline sim::SystemConfig
-shrinkCaches(sim::SystemConfig cfg, Index div)
-{
-    auto shrink = [&](std::uint64_t bytes, std::uint64_t floor) {
-        return std::max<std::uint64_t>(
-            floor, bytes / static_cast<std::uint64_t>(div));
-    };
-    cfg.l1.sizeBytes = shrink(cfg.l1.sizeBytes, 2048);
-    cfg.l2.sizeBytes = shrink(cfg.l2.sizeBytes, 2048);
-    cfg.llcSlice.sizeBytes = shrink(cfg.llcSlice.sizeBytes, 4096);
-    return cfg;
-}
-
 /** The default Table-5 run configuration at the bench's input scale. */
 inline workloads::RunConfig
 defaultConfig(Index scaleDiv)
 {
     workloads::RunConfig cfg;
-    cfg.system = shrinkCaches(cfg.system, scaleDiv);
+    cfg.system = sim::shrinkCaches(cfg.system, scaleDiv);
     return cfg;
 }
 

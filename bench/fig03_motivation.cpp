@@ -24,9 +24,9 @@ main()
     const Index div = matrixScale();
     const std::vector<std::pair<std::string, sim::SystemConfig>> archs =
         {{"a64fx-like",
-          shrinkCaches(sim::SystemConfig::a64fxLike(), div)},
+          sim::shrinkCaches(sim::SystemConfig::a64fxLike(), div)},
          {"graviton3-like",
-          shrinkCaches(sim::SystemConfig::graviton3Like(), div)}};
+          sim::shrinkCaches(sim::SystemConfig::graviton3Like(), div)}};
     const std::vector<std::string> kernels = {"SpMV", "SpMSpM",
                                               "SpAdd"};
     const std::vector<std::string> inputs = {"M1", "M2", "M3",

@@ -12,7 +12,7 @@ Cache::Cache(std::string name, const CacheConfig &cfg)
                (static_cast<std::uint64_t>(cfg.ways) * kLineBytes);
     TMU_ASSERT(numSets_ > 0);
     ways_.assign(numSets_ * static_cast<std::size_t>(cfg.ways), Way{});
-    mshrs_.reserve(static_cast<std::size_t>(cfg.mshrs) * 2);
+    mshrs_.reserve(static_cast<std::size_t>(cfg.mshrs));
 }
 
 Cache::Way *
@@ -54,6 +54,7 @@ Cache::install(Addr line, bool dirty, Addr *evictedDirty)
     victim->valid = true;
     victim->dirty = dirty;
     victim->lastUse = ++useClock_;
+    ++epoch_;
 }
 
 void
@@ -79,15 +80,20 @@ Cache::reclaim(Cycle now)
     if (mshrs_.empty() || now < nextReclaim_)
         return;
     Cycle next = ~Cycle{0};
-    for (auto it = mshrs_.begin(); it != mshrs_.end();) {
-        if (it->second <= now) {
-            it = mshrs_.erase(it);
+    std::uint64_t filter = 0;
+    for (std::size_t i = 0; i < mshrs_.size();) {
+        if (mshrs_[i].fill <= now) {
+            mshrs_[i] = mshrs_.back();
+            mshrs_.pop_back();
+            ++epoch_;
         } else {
-            next = std::min(next, it->second);
-            ++it;
+            next = std::min(next, mshrs_[i].fill);
+            filter |= filterBit(mshrs_[i].line);
+            ++i;
         }
     }
     nextReclaim_ = next;
+    mshrFilter_ = filter;
 }
 
 void
@@ -118,7 +124,9 @@ Cache::reset()
     for (auto &w : ways_)
         w = Way{};
     mshrs_.clear();
+    mshrFilter_ = 0;
     nextReclaim_ = ~Cycle{0};
+    ++epoch_;
     useClock_ = accesses_ = hits_ = mshrHits_ = misses_ = rejects_ = 0;
 }
 

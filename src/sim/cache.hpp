@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/statreg.hpp"
@@ -62,12 +61,17 @@ class Cache
         reclaim(now);
         ++accesses_;
 
-        // In-flight miss to the same line: merge (secondary miss).
-        if (const auto it = mshrs_.find(line); it != mshrs_.end()) {
-            ++mshrHits_;
-            if (write)
-                markDirty(line);
-            return {true, true, it->second};
+        // In-flight miss to the same line: merge (secondary miss). A
+        // clear filter bit proves the line holds no MSHR.
+        if (mshrFilter_ & filterBit(line)) {
+            for (const Mshr &m : mshrs_) {
+                if (m.line == line) {
+                    ++mshrHits_;
+                    if (write)
+                        markDirty(line);
+                    return {true, true, m.fill};
+                }
+            }
         }
 
         if (Way *way = findLine(line)) {
@@ -88,7 +92,9 @@ class Cache
             ++rejects_;
             return {false, false, 0};
         }
-        mshrs_.emplace(line, fill);
+        mshrs_.push_back({line, fill});
+        mshrFilter_ |= filterBit(line);
+        ++epoch_;
         nextReclaim_ = std::min(nextReclaim_, fill);
         ++misses_;
         install(line, write, evictedDirty);
@@ -103,6 +109,37 @@ class Cache
 
     /** True if the line is currently present (test/introspection). */
     bool contains(Addr line) const;
+
+    /**
+     * Change counter. It moves whenever a line enters the tags, an
+     * MSHR is allocated or reclaimed, and on reset(). While it stands
+     * still, a line that was in neither the tags nor the MSHRs is
+     * still in neither, and the MSHRs hold the same misses.
+     */
+    std::uint64_t epoch() const { return epoch_; }
+
+    /**
+     * True when an access this level refused for full MSHRs, with
+     * epoch() reading @p epoch after the refusal, is certain to be
+     * refused again at @p now: epoch() has not moved, every MSHR is
+     * still held and none fills by @p now.
+     */
+    bool
+    refusalStands(std::uint64_t epoch, Cycle now) const
+    {
+        return epoch == epoch_ &&
+               static_cast<int>(mshrs_.size()) >= cfg_.mshrs &&
+               now < nextReclaim_;
+    }
+
+    /** Count a retry refusalStands() holds for: exactly what access()
+     *  would count (one access, one reject). */
+    void
+    countRefusal()
+    {
+        ++accesses_;
+        ++rejects_;
+    }
 
     /** Outstanding (un-reclaimed) misses. */
     int inflight() const { return static_cast<int>(mshrs_.size()); }
@@ -161,6 +198,23 @@ class Cache
         bool dirty = false;
     };
 
+    /** One outstanding miss: its line and fill cycle. */
+    struct Mshr
+    {
+        Addr line = 0;
+        Cycle fill = 0;
+    };
+
+    /**
+     * Bit of @p line in mshrFilter_, which ORs the bits of every line
+     * in mshrs_: most accesses find their bit clear and skip the scan.
+     */
+    static std::uint64_t
+    filterBit(Addr line)
+    {
+        return std::uint64_t{1} << (line / kLineBytes % 64);
+    }
+
     Way *findLine(Addr line);
     void markDirty(Addr line);
     void install(Addr line, bool dirty, Addr *evictedDirty);
@@ -179,8 +233,10 @@ class Cache
     CacheConfig cfg_;
     std::size_t numSets_ = 1;
     std::vector<Way> ways_; //!< numSets x ways, row-major
-    std::unordered_map<Addr, Cycle> mshrs_;
-    Cycle nextReclaim_ = ~Cycle{0};
+    std::vector<Mshr> mshrs_; //!< at most cfg_.mshrs, unordered
+    Cycle nextReclaim_ = ~Cycle{0}; //!< earliest fill in mshrs_
+    std::uint64_t mshrFilter_ = 0; //!< OR of filterBit over mshrs_
+    std::uint64_t epoch_ = 0;
     std::uint64_t useClock_ = 0;
     std::uint64_t accesses_ = 0;
     std::uint64_t hits_ = 0;

@@ -61,6 +61,19 @@ SystemConfig::graviton3Like()
     return cfg;
 }
 
+SystemConfig
+shrinkCaches(SystemConfig cfg, Index div)
+{
+    auto shrink = [&](std::uint64_t bytes, std::uint64_t floor) {
+        return std::max<std::uint64_t>(
+            floor, bytes / static_cast<std::uint64_t>(div));
+    };
+    cfg.l1.sizeBytes = shrink(cfg.l1.sizeBytes, 2048);
+    cfg.l2.sizeBytes = shrink(cfg.l2.sizeBytes, 2048);
+    cfg.llcSlice.sizeBytes = shrink(cfg.llcSlice.sizeBytes, 4096);
+    return cfg;
+}
+
 std::vector<std::string>
 SystemConfig::presetNames()
 {

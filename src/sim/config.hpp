@@ -187,4 +187,15 @@ struct SystemConfig
  */
 Expected<std::pair<int, int>> parseMeshSpec(const std::string &spec);
 
+/**
+ * Shrink the cache hierarchy by the input scale divisor (floors keep
+ * every cache structurally valid). The evaluation scales inputs down
+ * (the benches' TMU_SCALE_*, tmu_run's --scale); capacity-to-working-set
+ * ratios — which the paper's effects key on (gathers missing caches,
+ * workspaces thrashing) — are preserved by shrinking the machine with
+ * the data. Latencies, widths and MSHR counts stay at their Table 5
+ * values.
+ */
+SystemConfig shrinkCaches(SystemConfig cfg, Index div);
+
 } // namespace tmu::sim

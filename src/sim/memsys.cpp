@@ -225,7 +225,8 @@ MemorySystem::coreAccess(int coreId, Addr addr, bool write, Cycle now)
 }
 
 MemAccess
-MemorySystem::tmuAccess(int coreId, Addr addr, Cycle now)
+MemorySystem::tmuAccess(int coreId, Addr addr, Cycle now,
+                        LlcRefusal *refusal)
 {
     const Addr line = lineAddr(addr);
     // The TMU shares the host core's MMU via the L2 TLB (Sec. 5.6).
@@ -236,8 +237,17 @@ MemorySystem::tmuAccess(int coreId, Addr addr, Cycle now)
     }
     int levelHit = 3;
     const Cycle c = llcPath(coreId, line, now, &levelHit);
-    if (c == kMissRejected)
+    if (c == kMissRejected) {
+        // DRAM never refuses, so the slice's MSHRs were full.
+        if (refusal != nullptr && !cfg_.modelTlb) {
+            // The request reaches the slice after half the mesh round
+            // trip, as in llcPath.
+            const int s = sliceOf(line);
+            *refusal = {s, nocLatency(coreId, s) / 2,
+                        slices_[static_cast<size_t>(s)].epoch()};
+        }
         return {false, 0, 0};
+    }
     return {true, c + latencyFault(), levelHit};
 }
 

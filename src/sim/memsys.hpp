@@ -35,6 +35,18 @@ struct MemAccess
     int levelHit = 0;      //!< 1=L1, 2=L2, 3=LLC, 4=DRAM (first hit)
 };
 
+/**
+ * An LLC slice's refusal of a TMU line request (its MSHRs were full),
+ * kept by the requester so that a retry can be checked cheaply with
+ * MemorySystem::tmuRefusalStands.
+ */
+struct LlcRefusal
+{
+    int slice = -1;          //!< refusing slice; -1: none held
+    Cycle delay = 0;         //!< cycles from request to the slice
+    std::uint64_t epoch = 0; //!< the slice's Cache::epoch() after it
+};
+
 /** DRAM traffic counters (roofline denominators). */
 struct DramStats
 {
@@ -57,8 +69,35 @@ class MemorySystem
     /** Demand access from core @p coreId (entered at its L1D). */
     MemAccess coreAccess(int coreId, Addr addr, bool write, Cycle now);
 
-    /** TMU fiber-traversal read: enters at the LLC slice. */
-    MemAccess tmuAccess(int coreId, Addr addr, Cycle now);
+    /**
+     * TMU fiber-traversal read: enters at the LLC slice. When the
+     * slice refuses it and @p refusal is given, the refusal is written
+     * there (left untouched when the TLB is modelled: translation
+     * touches the TLB and moves the request cycle on every attempt).
+     */
+    MemAccess tmuAccess(int coreId, Addr addr, Cycle now,
+                        LlcRefusal *refusal = nullptr);
+
+    /**
+     * True when the slice is certain to refuse again, at @p now, the
+     * request @p refusal (which holds a slice) names
+     * (Cache::refusalStands). The retry is then counted with
+     * tmuCountRefusal instead of tmuAccess.
+     */
+    bool
+    tmuRefusalStands(const LlcRefusal &refusal, Cycle now) const
+    {
+        return slices_[static_cast<size_t>(refusal.slice)].refusalStands(
+            refusal.epoch, now + refusal.delay);
+    }
+
+    /** Count a retry tmuRefusalStands holds for, exactly as tmuAccess
+     *  would count it. */
+    void
+    tmuCountRefusal(const LlcRefusal &refusal)
+    {
+        slices_[static_cast<size_t>(refusal.slice)].countRefusal();
+    }
 
     /** TMU outQ line install into the host core's private L2. */
     void outqInstall(int coreId, Addr line, Cycle now);

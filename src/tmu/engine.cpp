@@ -11,14 +11,44 @@ namespace tmu::engine {
 
 namespace {
 
-constexpr Cycle kNever = ~Cycle{0};
-
 std::uint64_t
 loadElem(Addr addr)
 {
     std::uint64_t v;
     std::memcpy(&v, sim::hostPtr(addr), sizeof(v));
     return v;
+}
+
+/**
+ * Append the own mem ordinals that gate index source @p parent of a
+ * stream in TU @p self: a mem parent gates by its own request; Lin,
+ * Map and Ldr parents pass on their sources' gates; the Ite, Fwd and
+ * leftward values are ready when the instance starts.
+ */
+void
+collectGates(const TuDesc &desc, TuRef self,
+             const std::vector<int> &ordinalOfSlot,
+             const StreamRef &parent, std::vector<int> &gates)
+{
+    if (!parent.valid() || !(parent.tu == self))
+        return;
+    TMU_ASSERT(parent.slot < static_cast<int>(desc.streams.size()));
+    const auto slot = static_cast<size_t>(parent.slot);
+    const StreamDesc &sd = desc.streams[slot];
+    switch (sd.kind) {
+      case StreamKind::Ite:
+      case StreamKind::Fwd:
+        return;
+      case StreamKind::Mem:
+        gates.push_back(ordinalOfSlot[slot]);
+        return;
+      case StreamKind::Lin:
+      case StreamKind::Map:
+      case StreamKind::Ldr:
+        collectGates(desc, self, ordinalOfSlot, sd.parent, gates);
+        collectGates(desc, self, ordinalOfSlot, sd.parent2, gates);
+        return;
+    }
 }
 
 } // namespace
@@ -45,18 +75,32 @@ TmuEngine::TmuEngine(int coreId, const EngineConfig &cfg,
         for (int r = 0; r < layer.lanes(); ++r) {
             TuState tu;
             tu.ref = {l, r};
+            tu.desc = &layer.tus[static_cast<size_t>(r)];
             tu.q.reset(static_cast<size_t>(plan_.depth(l)));
-            const TuDesc &desc = prog_.tu(tu.ref);
+            const TuDesc &desc = *tu.desc;
+            std::vector<int> ordinalOfSlot(desc.streams.size(), -1);
+            int mems = 0;
             for (size_t s = 0; s < desc.streams.size(); ++s) {
-                if (desc.streams[s].kind == StreamKind::Mem) {
-                    tu.memOrdinalOfSlot.push_back(
-                        static_cast<int>(tu.slotOfMemOrdinal.size()));
-                    tu.slotOfMemOrdinal.push_back(static_cast<int>(s));
-                } else {
-                    tu.memOrdinalOfSlot.push_back(-1);
-                }
+                if (desc.streams[s].kind == StreamKind::Mem)
+                    ordinalOfSlot[s] = mems++;
             }
-            tu.slotPtr.resize(tu.slotOfMemOrdinal.size());
+            for (const StreamDesc &sd : desc.streams) {
+                if (sd.kind != StreamKind::Mem)
+                    continue;
+                MemIssue mi;
+                mi.base = sd.base;
+                mi.index = sd.parent;
+                mi.index2 = sd.parent2;
+                mi.readsView = !(sd.parent.tu == tu.ref) ||
+                               (sd.parent2.valid() &&
+                                !(sd.parent2.tu == tu.ref));
+                collectGates(desc, tu.ref, ordinalOfSlot, sd.parent,
+                             mi.gates);
+                collectGates(desc, tu.ref, ordinalOfSlot, sd.parent2,
+                             mi.gates);
+                tu.issue.push_back(std::move(mi));
+            }
+            tu.slotPtr.resize(tu.issue.size());
             tus_[static_cast<size_t>(l)].push_back(std::move(tu));
         }
     }
@@ -97,43 +141,16 @@ TmuEngine::resolveValue(const TuState &tu, const StreamRef &ref,
                        [static_cast<size_t>(ref.slot)];
 }
 
-Cycle
-TmuEngine::parentReady(const TuState &tu, const TimedElem &e,
-                       const StreamRef &parent) const
+bool
+TmuEngine::addressReady(const MemIssue &mi, const TimedElem &e,
+                        Cycle now)
 {
-    if (!parent.valid() || !(parent.tu == tu.ref))
-        return 0; // leftward/absent: ready when the instance started
-
-    const StreamDesc &pd = prog_.stream(parent);
-    if (pd.kind == StreamKind::Mem) {
-        const int ord = tu.memOrdinalOfSlot[static_cast<size_t>(
-            parent.slot)];
-        const MemSlotState &ms = e.mem[static_cast<size_t>(ord)];
-        return ms.requested ? ms.ready : kNever;
+    for (const int g : mi.gates) {
+        const MemSlotState &ms = e.mem[static_cast<size_t>(g)];
+        if (!ms.requested || ms.ready > now)
+            return false;
     }
-    return slotDepReady(tu, e, parent.slot);
-}
-
-Cycle
-TmuEngine::slotDepReady(const TuState &tu, const TimedElem &e,
-                        int slot) const
-{
-    const StreamDesc &sd = prog_.stream({tu.ref, slot});
-    switch (sd.kind) {
-      case StreamKind::Ite:
-      case StreamKind::Fwd:
-        return 0;
-      case StreamKind::Mem:
-      case StreamKind::Lin:
-      case StreamKind::Map:
-      case StreamKind::Ldr:
-        break;
-    }
-    const Cycle a = parentReady(tu, e, sd.parent);
-    const Cycle b = parentReady(tu, e, sd.parent2);
-    if (a == kNever || b == kNever)
-        return kNever;
-    return std::max(a, b);
+    return true;
 }
 
 bool
@@ -153,7 +170,7 @@ TmuEngine::elemReady(const TuState &tu, const TimedElem &e,
 Index
 TmuEngine::mergeKeyOf(const TuState &tu, const TimedElem &e) const
 {
-    const TuDesc &desc = prog_.tu(tu.ref);
+    const TuDesc &desc = *tu.desc;
     const int slot = desc.mergeKey.valid() ? desc.mergeKey.slot : 0;
     return static_cast<Index>(e.vals[static_cast<size_t>(slot)]);
 }
@@ -161,11 +178,11 @@ TmuEngine::mergeKeyOf(const TuState &tu, const TimedElem &e) const
 void
 TmuEngine::pushElement(TuState &tu, Cycle now)
 {
-    const TuDesc &desc = prog_.tu(tu.ref);
+    const TuDesc &desc = *tu.desc;
     TimedElem e;
     e.pushed = now;
     e.vals.resize(desc.streams.size(), 0);
-    e.mem.resize(tu.slotOfMemOrdinal.size());
+    e.mem.resize(tu.issue.size());
 
     for (size_t s = 0; s < desc.streams.size(); ++s) {
         const StreamDesc &sd = desc.streams[s];
@@ -232,7 +249,7 @@ TmuEngine::tickTus(Cycle now)
 {
     for (int l = 0; l < prog_.numLayers(); ++l) {
         for (TuState &tu : tus_[static_cast<size_t>(l)]) {
-            const TuDesc &desc = prog_.tu(tu.ref);
+            const TuDesc &desc = *tu.desc;
             switch (tu.phase) {
               case TuState::Phase::WaitStep: {
                 if (l == 0) {
@@ -260,6 +277,12 @@ TmuEngine::tickTus(Cycle now)
                         continue;
                     tu.view = rec;
                     tu.hasView = true;
+                    // A refused address that reads the view may
+                    // change with it.
+                    for (size_t m = 0; m < tu.issue.size(); ++m) {
+                        if (tu.issue[m].readsView)
+                            tu.slotPtr[m].refused = {};
+                    }
                     switch (desc.kind) {
                       case TraversalKind::Dense:
                         tu.cur = desc.beg;
@@ -354,6 +377,11 @@ TmuEngine::tickArbiter(Cycle now)
     }
 
     int issued = 0;
+    const auto budgetSpent = [&] {
+        return static_cast<int>(outstanding_.size()) >=
+                   cfg_.maxOutstanding ||
+               issued >= cfg_.issuePerCycle;
+    };
     arbLayersAdvanced_ = prog_.numLayers();
     for (int l = 0; l < prog_.numLayers(); ++l) {
         auto &layerTus = tus_[static_cast<size_t>(l)];
@@ -361,9 +389,27 @@ TmuEngine::tickArbiter(Cycle now)
         for (int k = 0; k < lanes; ++k) {
             const int r = (laneRr_[static_cast<size_t>(l)] + k) % lanes;
             TuState &tu = layerTus[static_cast<size_t>(r)];
-            for (size_t m = 0; m < tu.slotOfMemOrdinal.size(); ++m) {
+            for (size_t m = 0; m < tu.issue.size(); ++m) {
+                const MemIssue &mi = tu.issue[m];
                 auto &sp = tu.slotPtr[m];
                 while (sp.elem < tu.q.size()) {
+                    if (sp.refused.slice >= 0) {
+                        // elem's request was refused. If the slice is
+                        // unchanged, that line is still in neither its
+                        // tags nor its MSHRs: no lane can have put it
+                        // in flight, and the path below would reach
+                        // the budget check and be refused again.
+                        if (mem_.tmuRefusalStands(sp.refused, now)) {
+                            if (budgetSpent()) {
+                                arbLayersAdvanced_ = l;
+                                return;
+                            }
+                            changed_ = true;
+                            mem_.tmuCountRefusal(sp.refused);
+                            break;
+                        }
+                        sp.refused = {};
+                    }
                     TimedElem &e = tu.q.peek(sp.elem);
                     if (e.end) {
                         ++sp.elem;
@@ -374,19 +420,17 @@ TmuEngine::tickArbiter(Cycle now)
                         ++sp.elem;
                         continue;
                     }
-                    const int slot = tu.slotOfMemOrdinal[m];
                     // In-order within the queue: wait for the address
                     // dependency of the oldest unrequested element.
-                    if (slotDepReady(tu, e, slot) > now)
+                    if (!addressReady(mi, e, now))
                         break;
-                    const StreamDesc &sd = prog_.stream({tu.ref, slot});
                     auto x = static_cast<Index>(
-                        resolveValue(tu, sd.parent, e.vals));
-                    if (sd.parent2.valid())
+                        resolveValue(tu, mi.index, e.vals));
+                    if (mi.index2.valid())
                         x += static_cast<Index>(
-                            resolveValue(tu, sd.parent2, e.vals));
+                            resolveValue(tu, mi.index2, e.vals));
                     const Addr addr =
-                        sd.base + static_cast<Addr>(x) * 8;
+                        mi.base + static_cast<Addr>(x) * 8;
                     const Addr line = lineAddr(addr);
                     if (line == sp.lastLine) {
                         // Same cacheline as the previous element:
@@ -412,9 +456,7 @@ TmuEngine::tickArbiter(Cycle now)
                         ++sp.elem;
                         continue;
                     }
-                    if (static_cast<int>(outstanding_.size()) >=
-                            cfg_.maxOutstanding ||
-                        issued >= cfg_.issuePerCycle) {
+                    if (budgetSpent()) {
                         // Layers >= l keep their round-robin pointer
                         // frozen this cycle (the back-fill replays
                         // exactly this).
@@ -427,7 +469,7 @@ TmuEngine::tickArbiter(Cycle now)
                     // as in the per-cycle loop.
                     changed_ = true;
                     const sim::MemAccess res =
-                        mem_.tmuAccess(coreId_, addr, now);
+                        mem_.tmuAccess(coreId_, addr, now, &sp.refused);
                     if (!res.accepted)
                         break; // LLC MSHRs full: retry next cycle
                     Cycle ready = res.complete;
@@ -463,6 +505,8 @@ TmuEngine::popTuHead(int layer, int lane)
     for (auto &sp : tu.slotPtr) {
         if (sp.elem > 0)
             --sp.elem;
+        else
+            sp.refused = {}; // the refused element itself left
     }
 }
 

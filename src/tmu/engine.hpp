@@ -121,6 +121,10 @@ class TmuEngine : public sim::Tickable
     TmuEngine(int coreId, const EngineConfig &cfg,
               sim::MemorySystem &mem, const TmuProgram &program);
 
+    /** TU states point into the engine's own program copy. */
+    TmuEngine(const TmuEngine &) = delete;
+    TmuEngine &operator=(const TmuEngine &) = delete;
+
     bool tick(Cycle now) override;
 
     /**
@@ -264,10 +268,27 @@ class TmuEngine : public sim::Tickable
         std::vector<OutqRecord> records; //!< registered callbacks only
     };
 
+    /**
+     * Issue table entry of one mem slot, compiled at construction: the
+     * request address is base + 8 * (index + index2), and the request
+     * may go once the loads of every gating mem ordinal are ready.
+     */
+    struct MemIssue
+    {
+        Addr base = 0;
+        StreamRef index;  //!< own slot, or a lane/slot of the view
+        StreamRef index2; //!< second adder operand; invalid if unused
+        bool readsView = false; //!< an operand comes from the view
+        /** Own mem ordinals the address depends on, resolved through
+         *  Lin/Map/Ldr chains (leftward values are ready on entry). */
+        std::vector<int> gates;
+    };
+
     /** Per-TU dynamic state. */
     struct TuState
     {
         TuRef ref;
+        const TuDesc *desc = nullptr; //!< points into prog_
         enum class Phase { WaitStep, Iter, PushEnd, Done } phase =
             Phase::WaitStep;
         Index cur = 0;
@@ -282,10 +303,12 @@ class TmuEngine : public sim::Tickable
             std::size_t elem = 0;
             Addr lastLine = ~Addr{0};
             Cycle lastReady = 0;
+            /** The LLC's refusal of elem's request; cleared when elem
+             *  leaves the pointer or its address may change. */
+            sim::LlcRefusal refused;
         };
         std::vector<SlotPtr> slotPtr;
-        std::vector<int> memOrdinalOfSlot; //!< stream slot -> ordinal|-1
-        std::vector<int> slotOfMemOrdinal;
+        std::vector<MemIssue> issue; //!< per mem-slot ordinal
     };
 
     /** Per-layer (TG) dynamic state. */
@@ -335,10 +358,9 @@ class TmuEngine : public sim::Tickable
     std::uint64_t resolveValue(const TuState &tu, const StreamRef &ref,
                                const std::vector<std::uint64_t> &vals)
         const;
-    Cycle parentReady(const TuState &tu, const TimedElem &e,
-                      const StreamRef &parent) const;
-    Cycle slotDepReady(const TuState &tu, const TimedElem &e,
-                       int slot) const;
+    /** True once the loads gating @p mi's address have arrived. */
+    static bool addressReady(const MemIssue &mi, const TimedElem &e,
+                             Cycle now);
     bool elemReady(const TuState &tu, const TimedElem &e,
                    Cycle now) const;
     Index mergeKeyOf(const TuState &tu, const TimedElem &e) const;

@@ -23,48 +23,73 @@ struct RegistryEntry
 {
     const char *name;
     Category category;
+    EinsumPlan plan; //!< the workload's own einsum constant
     std::unique_ptr<Workload> (*factory)();
 };
 
+constexpr plan::Variant P1 = plan::Variant::P1;
+
 constexpr RegistryEntry kRegistry[] = {
-    {"SpMV", Category::LinearAlgebra,
+    {"SpMV", Category::LinearAlgebra, {SpmvWorkload::kEinsum, P1},
      [] { return std::unique_ptr<Workload>(new SpmvWorkload()); }},
-    {"SpMSpM", Category::LinearAlgebra,
+    {"SpMSpM", Category::LinearAlgebra, {SpmspmWorkload::kEinsum, P1},
      [] { return std::unique_ptr<Workload>(new SpmspmWorkload()); }},
-    {"SpKAdd", Category::LinearAlgebra,
+    {"SpKAdd", Category::LinearAlgebra, {SpkaddWorkload::kEinsum, P1},
      [] { return std::unique_ptr<Workload>(new SpkaddWorkload()); }},
-    {"PR", Category::LinearAlgebra,
+    {"PR", Category::LinearAlgebra, {PagerankWorkload::kEinsum, P1},
      [] { return std::unique_ptr<Workload>(new PagerankWorkload()); }},
-    {"TC", Category::LinearAlgebra,
+    {"TC", Category::LinearAlgebra, {TricountWorkload::kEinsum, P1},
      [] { return std::unique_ptr<Workload>(new TricountWorkload()); }},
-    {"SpAdd", Category::Unlisted,
+    {"SpAdd", Category::Unlisted, {},
      [] { return std::unique_ptr<Workload>(new SpaddWorkload()); }},
     // Einsum-frontend workloads: compiled from a one-line expression,
     // no hand-written kernel code. Unlisted keeps the paper-figure
     // sweeps and committed perf baselines unchanged.
-    {"SDDMM", Category::Unlisted,
+    {"SDDMM", Category::Unlisted, {SddmmWorkload::kEinsum, P1},
      [] { return std::unique_ptr<Workload>(new SddmmWorkload()); }},
-    {"SpMM", Category::Unlisted,
+    {"SpMM", Category::Unlisted, {SpmmWorkload::kEinsum, P1},
      [] { return std::unique_ptr<Workload>(new SpmmWorkload()); }},
-    {"SpMM-SC", Category::Unlisted,
+    {"SpMM-SC", Category::Unlisted, {SpmmScatterWorkload::kEinsum, P1},
      [] {
          return std::unique_ptr<Workload>(new SpmmScatterWorkload());
      }},
-    {"MTTKRP_MP", Category::TensorAlgebra,
+    {"MTTKRP_MP", Category::TensorAlgebra, {MttkrpWorkload::kEinsum, P1},
      [] {
          return std::unique_ptr<Workload>(
              new MttkrpWorkload(MttkrpWorkload::Variant::P1));
      }},
     {"MTTKRP_CP", Category::TensorAlgebra,
+     {MttkrpWorkload::kEinsum, plan::Variant::P2},
      [] {
          return std::unique_ptr<Workload>(
              new MttkrpWorkload(MttkrpWorkload::Variant::P2));
      }},
-    {"SpTC", Category::TensorAlgebra,
+    {"SpTC", Category::TensorAlgebra, {},
      [] { return std::unique_ptr<Workload>(new SptcWorkload()); }},
-    {"CP-ALS", Category::TensorAlgebra,
+    {"CP-ALS", Category::TensorAlgebra, {},
      [] { return std::unique_ptr<Workload>(new CpalsWorkload()); }},
 };
+
+const RegistryEntry *
+findEntry(const std::string &name)
+{
+    for (const RegistryEntry &e : kRegistry) {
+        if (name == e.name)
+            return &e;
+    }
+    return nullptr;
+}
+
+TmuError
+unknownName(const std::string &name)
+{
+    std::string known;
+    for (const auto &w : registeredWorkloads())
+        known += (known.empty() ? "" : ", ") + w;
+    return TMU_ERR(Errc::UnknownName,
+                   "unknown workload '%s' (known: %s)", name.c_str(),
+                   known.c_str());
+}
 
 std::vector<std::string>
 namesOf(Category category)
@@ -82,16 +107,9 @@ namesOf(Category category)
 Expected<std::unique_ptr<Workload>>
 tryMakeWorkload(const std::string &name)
 {
-    for (const RegistryEntry &e : kRegistry) {
-        if (name == e.name)
-            return e.factory();
-    }
-    std::string known;
-    for (const auto &w : registeredWorkloads())
-        known += (known.empty() ? "" : ", ") + w;
-    return TMU_ERR(Errc::UnknownName,
-                   "unknown workload '%s' (known: %s)", name.c_str(),
-                   known.c_str());
+    if (const RegistryEntry *e = findEntry(name))
+        return e->factory();
+    return unknownName(name);
 }
 
 std::unique_ptr<Workload>
@@ -128,6 +146,14 @@ registeredWorkloads()
     for (const RegistryEntry &e : kRegistry)
         names.emplace_back(e.name);
     return names;
+}
+
+Expected<EinsumPlan>
+workloadEinsum(const std::string &name)
+{
+    if (const RegistryEntry *e = findEntry(name))
+        return e->plan;
+    return unknownName(name);
 }
 
 } // namespace tmu::workloads

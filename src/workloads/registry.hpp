@@ -31,4 +31,14 @@ std::vector<std::string> allWorkloads();
 /** Every constructible workload name, evaluated or not, table order. */
 std::vector<std::string> registeredWorkloads();
 
+/** The einsum a registered workload compiles its plans from. */
+struct EinsumPlan
+{
+    const char *einsum = nullptr; //!< null: no einsum plan
+    plan::Variant variant = plan::Variant::P1; //!< compile option
+};
+
+/** Einsum plan of a registered workload; UnknownName on a miss. */
+Expected<EinsumPlan> workloadEinsum(const std::string &name);
+
 } // namespace tmu::workloads

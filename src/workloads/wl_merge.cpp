@@ -32,8 +32,8 @@ runKAdd(const RunConfig &cfg,
         fo.beg = beg;
         fo.end = end;
         const plan::PlanSpec ps =
-            plan::frontend::compileEinsum(
-                "Z(i,j; dcsr) = sum_k A^k(i,j; dcsr)", fb, fo)
+            plan::frontend::compileEinsum(SpkaddWorkload::kEinsum, fb,
+                                          fo)
                 .valueOrFatal();
         // The TMU's lane reduce emits one row coordinate per element.
         plan::PlanState &st = out[static_cast<size_t>(c)];

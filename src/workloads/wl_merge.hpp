@@ -16,6 +16,9 @@ namespace tmu::workloads {
 class SpkaddWorkload : public Workload
 {
   public:
+    static constexpr const char *kEinsum =
+        "Z(i,j; dcsr) = sum_k A^k(i,j; dcsr)";
+
     std::string name() const override { return "SpKAdd"; }
     Class workloadClass() const override
     {

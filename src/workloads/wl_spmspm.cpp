@@ -60,8 +60,7 @@ SpmspmWorkload::run(const RunConfig &cfg)
         fo.beg = beg;
         fo.end = end;
         h.addPlan(c,
-                  plan::frontend::compileEinsum(
-                      "Z(i,j; csr) = A(i,k; csr) * B(k,j; csr)", fb, fo)
+                  plan::frontend::compileEinsum(kEinsum, fb, fo)
                       .valueOrFatal(),
                   st);
     }
@@ -113,9 +112,7 @@ TricountWorkload::run(const RunConfig &cfg)
         fo.beg = beg;
         fo.end = end;
         h.addPlan(c,
-                  plan::frontend::compileEinsum(
-                      "c = L(i,k; csr) * L(k,j; csr) * L(i,j; csr)", fb,
-                      fo)
+                  plan::frontend::compileEinsum(kEinsum, fb, fo)
                       .valueOrFatal(),
                   st[static_cast<size_t>(c)]);
     }

@@ -15,6 +15,9 @@ namespace tmu::workloads {
 class SpmspmWorkload : public Workload
 {
   public:
+    static constexpr const char *kEinsum =
+        "Z(i,j; csr) = A(i,k; csr) * B(k,j; csr)";
+
     std::string name() const override { return "SpMSpM"; }
     Class workloadClass() const override
     {
@@ -44,6 +47,9 @@ class SpmspmWorkload : public Workload
 class TricountWorkload : public Workload
 {
   public:
+    static constexpr const char *kEinsum =
+        "c = L(i,k; csr) * L(k,j; csr) * L(i,j; csr)";
+
     std::string name() const override { return "TC"; }
     Class workloadClass() const override
     {

@@ -39,13 +39,13 @@ runSpmvShaped(const RunConfig &cfg, const tensor::CsrMatrix &a,
     fb.outVec = &x;
     const char *expr;
     if (pagerankUpdate) {
-        expr = "Z(i) = beta + alpha * A(i,j; csr) * X(j; dense)";
+        expr = PagerankWorkload::kEinsum;
         fb.vec["X"] = &b;
         fb.scalars["alpha"] = damping;
         fb.scalars["beta"] =
             (1.0 - damping) / static_cast<double>(a.rows());
     } else {
-        expr = "Z(i) = A(i,j; csr) * B(j; dense)";
+        expr = SpmvWorkload::kEinsum;
         fb.vec["B"] = &b;
     }
     const Partition part =

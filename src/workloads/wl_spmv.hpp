@@ -15,6 +15,9 @@ namespace tmu::workloads {
 class SpmvWorkload : public Workload
 {
   public:
+    static constexpr const char *kEinsum =
+        "Z(i) = A(i,j; csr) * B(j; dense)";
+
     std::string name() const override { return "SpMV"; }
     Class workloadClass() const override
     {
@@ -37,6 +40,9 @@ class SpmvWorkload : public Workload
 class PagerankWorkload : public Workload
 {
   public:
+    static constexpr const char *kEinsum =
+        "Z(i) = beta + alpha * A(i,j; csr) * X(j; dense)";
+
     std::string name() const override { return "PR"; }
     Class workloadClass() const override
     {

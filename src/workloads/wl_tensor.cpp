@@ -116,10 +116,8 @@ runMttkrpOnce(const RunConfig &cfg, const CooTensor &t,
         fo.end = end;
         fo.variant = p1 ? plan::Variant::P1 : plan::Variant::P2;
         h.addPlan(core,
-                  plan::frontend::compileEinsum(
-                      "Z(i,j) = A(i,k,l; coo) * B(k,j; dense) * "
-                      "C(l,j; dense)",
-                      fb, fo)
+                  plan::frontend::compileEinsum(MttkrpWorkload::kEinsum,
+                                                fb, fo)
                       .valueOrFatal(),
                   st[static_cast<size_t>(core)]);
     }

@@ -20,6 +20,9 @@ class MttkrpWorkload : public Workload
   public:
     enum class Variant { P1, P2 };
 
+    static constexpr const char *kEinsum =
+        "Z(i,j) = A(i,k,l; coo) * B(k,j; dense) * C(l,j; dense)";
+
     explicit MttkrpWorkload(Variant v) : variant_(v) {}
 
     std::string name() const override

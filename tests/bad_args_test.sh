@@ -3,8 +3,9 @@
 # prepares any workload — exit 2 (bad arguments), a diagnostic on
 # stderr, and no "Preparing" line on stdout. Covers malformed and
 # out-of-range numbers, including values past the engine's limits
-# that would otherwise reach an assertion, and configurations
-# SystemConfig::validate() rejects.
+# that would otherwise reach an assertion, configurations
+# SystemConfig::validate() rejects, and --plan-dump names with no
+# registered einsum.
 set -u
 
 TMU_RUN="${1:?usage: bad_args_test.sh <path-to-tmu_run>}"
@@ -22,6 +23,8 @@ CASES=(
     "--lanes 65"
     "--lanes 0 --plan-dump SpMV"
     "--lanes 65 --plan-dump SpMV"
+    "--plan-dump SpAdd"
+    "--plan-dump NoSuchWorkload"
     "--storage 63"
     "--cores 3x"
     "--deadline-ms -1"

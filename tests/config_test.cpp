@@ -369,6 +369,41 @@ TEST(Topology, DefaultMeshCyclesPinnedBothSchedulers)
     }
 }
 
+TEST(Topology, RefusalBoundTmuRunPinnedBothSchedulers)
+{
+    // SpKAdd on M2 at 1/512, 8 cores, caches shrunk with the input
+    // (tmu_run --shrink-caches), TMU mode. The LLC slices' MSHRs stay
+    // full: over 99% of the LLC accesses are refused re-sends of TMU
+    // line requests, which the arbiter counts without re-sending when
+    // the slice provably refuses again. A retry counted as refused
+    // that the slice would have taken moves these numbers.
+    auto wl = makeWorkload("SpKAdd");
+    wl->prepare("M2", 512);
+    for (const bool dense : {false, true}) {
+        const char *sched = dense ? "dense" : "event";
+        RunConfig cfg = pinnedConfig(Mode::Tmu, dense);
+        cfg.system = shrinkCaches(cfg.system, 512);
+        const RunResult r = wl->run(cfg);
+        EXPECT_TRUE(r.verified) << sched;
+        EXPECT_EQ(r.sim.cycles, 12264u) << sched;
+        const auto stat = [&](const std::string &name) {
+            const stats::SnapshotEntry *e = r.stats.find(name);
+            EXPECT_NE(e, nullptr) << name;
+            return e != nullptr ? e->u : 0;
+        };
+        EXPECT_EQ(stat("llc.accesses"), 1'127'385u) << sched;
+        EXPECT_EQ(stat("llc.misses"), 7245u) << sched;
+        std::uint64_t issued = 0, coalesced = 0;
+        for (int c = 0; c < cfg.system.cores; ++c) {
+            const std::string tmu = "tmu" + std::to_string(c) + ".";
+            issued += stat(tmu + "requestsIssued");
+            coalesced += stat(tmu + "coalescedLoads");
+        }
+        EXPECT_EQ(issued, 5940u) << sched;
+        EXPECT_EQ(coalesced, 39555u) << sched;
+    }
+}
+
 TEST(Topology, ExplicitDefaultMeshIsIdentity)
 {
     // Spelling out the default geometry (and the folded channel-stop

@@ -76,6 +76,56 @@ TEST(Cache, MshrLimitRejects)
     EXPECT_TRUE(c.access(2 * 64, 200, false, miss).accepted);
 }
 
+TEST(Cache, RepeatRefusalCountsLikeAccess)
+{
+    // Fill both MSHRs (fills at 112), then refuse line X.
+    Cache c("t", smallCache());
+    auto miss = [](Cycle t) { return t + 100; };
+    const Addr x = 2 * 64;
+    ASSERT_TRUE(c.access(0 * 64, 10, false, miss).accepted);
+    ASSERT_TRUE(c.access(1 * 64, 10, false, miss).accepted);
+    ASSERT_FALSE(c.access(x, 10, false, miss).accepted);
+    const std::uint64_t epoch = c.epoch();
+
+    // A repeat before the earliest fill is counted exactly as
+    // access() counts it.
+    {
+        Cache viaAccess = c;
+        ASSERT_FALSE(viaAccess.access(x, 111, false, miss).accepted);
+        Cache viaRule = c;
+        ASSERT_TRUE(viaRule.refusalStands(epoch, 111));
+        viaRule.countRefusal();
+        EXPECT_EQ(viaRule.accesses(), viaAccess.accesses());
+        EXPECT_EQ(viaRule.rejects(), viaAccess.rejects());
+        EXPECT_EQ(viaRule.hits(), viaAccess.hits());
+        EXPECT_EQ(viaRule.misses(), viaAccess.misses());
+        EXPECT_EQ(viaRule.epoch(), viaAccess.epoch());
+    }
+    // X entered the tags: no refusal, and the retry hits.
+    {
+        Cache direct = c;
+        direct.installDirect(x, false);
+        EXPECT_FALSE(direct.refusalStands(epoch, 50));
+        EXPECT_TRUE(direct.access(x, 50, false, miss).hit);
+    }
+    // At or after the earliest fill an MSHR frees up.
+    {
+        Cache late = c;
+        EXPECT_FALSE(late.refusalStands(epoch, 112));
+        EXPECT_FALSE(late.refusalStands(epoch, 500));
+        EXPECT_TRUE(late.access(x, 112, false, miss).accepted);
+    }
+    // MSHRs freed and allocated again (full once more, X among them).
+    {
+        Cache cycled = c;
+        ASSERT_TRUE(cycled.access(x, 112, false, miss).accepted);
+        ASSERT_TRUE(cycled.access(3 * 64, 112, false, miss).accepted);
+        EXPECT_EQ(cycled.freeMshrs(120), 0);
+        EXPECT_FALSE(cycled.refusalStands(epoch, 120));
+        EXPECT_TRUE(cycled.access(x, 120, false, miss).accepted);
+    }
+}
+
 TEST(Cache, LruEviction)
 {
     CacheConfig cfg = smallCache();

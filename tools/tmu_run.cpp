@@ -65,9 +65,10 @@
  *                       also its counter tracks) to P; forces --jobs 1
  *     --quiet           suppress the live sweep progress line
  *     --dump-stats      print the gem5-style plain-text report(s)
- *     --plan-dump W     compile workload W's einsum through the
- *                       frontend (docs/FRONTEND.md), print the
- *                       PlanSpec and its TmuProgram::summary(), exit
+ *     --plan-dump W     compile the einsum registered for workload W
+ *                       through the frontend (docs/FRONTEND.md),
+ *                       print the PlanSpec and its
+ *                       TmuProgram::summary(), exit (2 if W has none)
  *     --einsum "E"      same, for an arbitrary annotated expression
  *                       compiled against synthetic demo operands
  *     --list            list every registered workload and exit
@@ -131,7 +132,6 @@
 #include "sim/telemetry.hpp"
 #include "sim/watchdog.hpp"
 #include "workloads/registry.hpp"
-#include "workloads/wl_einsum.hpp"
 
 using namespace tmu;
 using namespace tmu::workloads;
@@ -170,19 +170,6 @@ installStopHandlers()
     sa.sa_handler = onStopSignal;
     sigaction(SIGINT, &sa, nullptr);
     sigaction(SIGTERM, &sa, nullptr);
-}
-
-sim::SystemConfig
-shrinkCaches(sim::SystemConfig cfg, Index div)
-{
-    auto shrink = [&](std::uint64_t bytes, std::uint64_t floor) {
-        return std::max<std::uint64_t>(
-            floor, bytes / static_cast<std::uint64_t>(div));
-    };
-    cfg.l1.sizeBytes = shrink(cfg.l1.sizeBytes, 2048);
-    cfg.l2.sizeBytes = shrink(cfg.l2.sizeBytes, 2048);
-    cfg.llcSlice.sizeBytes = shrink(cfg.llcSlice.sizeBytes, 4096);
-    return cfg;
 }
 
 void
@@ -495,37 +482,6 @@ splitList(const std::string &text)
     return out;
 }
 
-/**
- * Workload name -> the einsum its plan compiles from, for --plan-dump.
- * The strings are the same ones the workloads pass to compileEinsum
- * (pinned against plans.cpp by the frontend round-trip test).
- */
-struct EinsumRow
-{
-    const char *workload;
-    const char *einsum;
-    plan::Variant variant;
-};
-
-constexpr EinsumRow kEinsumTable[] = {
-    {"SpMV", "Z(i) = A(i,j; csr) * B(j; dense)", plan::Variant::P1},
-    {"PR", "Z(i) = beta + alpha * A(i,j; csr) * X(j; dense)",
-     plan::Variant::P1},
-    {"SpMSpM", "Z(i,j; csr) = A(i,k; csr) * B(k,j; csr)",
-     plan::Variant::P2},
-    {"SpKAdd", "Z(i,j; dcsr) = sum_k A^k(i,j; dcsr)",
-     plan::Variant::P1},
-    {"TC", "c = L(i,k; csr) * L(k,j; csr) * L(i,j; csr)",
-     plan::Variant::P1},
-    {"MTTKRP_MP", "Z(i,j) = A(i,k,l; coo) * B(k,j; dense) * C(l,j; dense)",
-     plan::Variant::P1},
-    {"MTTKRP_CP", "Z(i,j) = A(i,k,l; coo) * B(k,j; dense) * C(l,j; dense)",
-     plan::Variant::P2},
-    {"SDDMM", SddmmWorkload::kEinsum, plan::Variant::P1},
-    {"SpMM", SpmmWorkload::kEinsum, plan::Variant::P2},
-    {"SpMM-SC", SpmmScatterWorkload::kEinsum, plan::Variant::P1},
-};
-
 /** --plan-dump / --einsum: print the compiled plan, set the exit code. */
 int
 dumpPlan(const std::string &planDump, const std::string &einsumExpr,
@@ -535,25 +491,21 @@ dumpPlan(const std::string &planDump, const std::string &einsumExpr,
     plan::frontend::CompileOptions opts;
     opts.lanes = lanes;
     if (!planDump.empty()) {
-        const EinsumRow *row = nullptr;
-        for (const EinsumRow &r : kEinsumTable) {
-            if (planDump == r.workload)
-                row = &r;
-        }
-        if (row == nullptr) {
-            std::string known;
-            for (const EinsumRow &r : kEinsumTable)
-                known += (known.empty() ? "" : ", ") +
-                         std::string(r.workload);
-            std::fprintf(stderr,
-                         "tmu_run: no einsum known for workload '%s' "
-                         "(known: %s)\n",
-                         planDump.c_str(), known.c_str());
+        const auto plan = workloadEinsum(planDump);
+        if (!plan) {
+            std::fprintf(stderr, "tmu_run: %s\n",
+                         plan.error().str().c_str());
             return kExitBadArgs;
         }
-        expr = row->einsum;
-        opts.variant = row->variant;
-        std::printf("# %s\n", row->workload);
+        if (plan->einsum == nullptr) {
+            std::fprintf(stderr,
+                         "tmu_run: workload '%s' has no einsum plan\n",
+                         planDump.c_str());
+            return kExitBadArgs;
+        }
+        expr = plan->einsum;
+        opts.variant = plan->variant;
+        std::printf("# %s\n", planDump.c_str());
     }
     auto text = plan::frontend::dumpEinsum(expr, opts);
     if (!text) {
@@ -763,7 +715,7 @@ main(int argc, char **argv)
     runCfg.system.cycleBudget = cycleBudget;
     runCfg.system.memBudgetBytes = memBudgetMb << 20;
     if (shrink)
-        runCfg.system = shrinkCaches(runCfg.system, scale);
+        runCfg.system = sim::shrinkCaches(runCfg.system, scale);
     runCfg.partition = partitionKind;
     runCfg.programLanes = lanes;
     runCfg.tmu.lanes = lanes;

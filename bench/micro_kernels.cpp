@@ -12,12 +12,13 @@
 #include "kernels/spadd.hpp"
 #include "kernels/spmspm.hpp"
 #include "kernels/spmv.hpp"
+#include "plan/frontend/frontend.hpp"
+#include "plan/lower.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/generate.hpp"
 #include "tensor/merge.hpp"
 #include "tmu/engine.hpp"
 #include "tmu/functional.hpp"
-#include "workloads/programs.hpp"
 
 using namespace tmu;
 
@@ -108,12 +109,27 @@ BM_CooToCsr(benchmark::State &state)
 }
 BENCHMARK(BM_CooToCsr)->Arg(1 << 12)->Arg(1 << 15);
 
+/** The compiled SpMV P1 program over all of @p a, eight lanes. */
+engine::TmuProgram
+spmvProgram(const tensor::CsrMatrix &a, const tensor::DenseVector &b,
+            tensor::DenseVector &x)
+{
+    plan::frontend::EinsumBindings fb;
+    fb.csr["A"] = &a;
+    fb.vec["B"] = &b;
+    fb.outVec = &x;
+    return plan::lowerProgram(
+        plan::frontend::compileEinsum("Z(i) = A(i,j; csr) * B(j; dense)",
+                                      fb, {})
+            .valueOrFatal());
+}
+
 void
 BM_FunctionalInterpreterSpmv(benchmark::State &state)
 {
     const auto a = benchMatrix(state.range(0), 8);
-    tensor::DenseVector b(a.cols(), 1.0);
-    const auto p = workloads::buildSpmvP1(a, b, 8, 0, a.rows());
+    tensor::DenseVector b(a.cols(), 1.0), x(a.rows());
+    const auto p = spmvProgram(a, b, x);
     for (auto _ : state) {
         std::uint64_t n = 0;
         engine::interpret(p,
@@ -130,8 +146,8 @@ BM_TimingEngineSpmv(benchmark::State &state)
     // Simulation rate of the cycle engine (simulated cycles/second
     // reported as items).
     const auto a = benchMatrix(state.range(0), 8);
-    tensor::DenseVector b(a.cols(), 1.0);
-    const auto p = workloads::buildSpmvP1(a, b, 8, 0, a.rows());
+    tensor::DenseVector b(a.cols(), 1.0), x(a.rows());
+    const auto p = spmvProgram(a, b, x);
     sim::SystemConfig sc = sim::SystemConfig::neoverseN1();
     sc.cores = 1;
     for (auto _ : state) {

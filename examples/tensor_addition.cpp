@@ -12,10 +12,11 @@
 #include <cstdlib>
 
 #include "common/table.hpp"
+#include "plan/frontend/frontend.hpp"
+#include "plan/lower.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/generate.hpp"
 #include "tmu/functional.hpp"
-#include "workloads/programs.hpp"
 #include "workloads/registry.hpp"
 
 using namespace tmu;
@@ -40,10 +41,17 @@ tinyWalkthrough()
         tensor::csrToDcsr(tensor::cooToCsr(ca)),
         tensor::csrToDcsr(tensor::cooToCsr(cb))};
 
-    const engine::TmuProgram p = buildSpkadd(parts, 0, 1);
+    plan::frontend::EinsumBindings fb;
+    fb.ensembles["A^k"] = &parts;
+    const plan::PlanSpec spec =
+        plan::frontend::compileEinsum("Z(i,j; dcsr) = sum_k A^k(i,j; dcsr)",
+                                      fb, {})
+            .valueOrFatal();
+    const int colCb = spec.callbackId("col");
     std::printf("Disjunctive merge of two fibers (msk stream):\n");
-    engine::interpret(p, [](const engine::OutqRecord &rec) {
-        if (rec.callbackId != kCbCol)
+    engine::interpret(plan::lowerProgram(spec),
+                      [colCb](const engine::OutqRecord &rec) {
+        if (rec.callbackId != colCb)
             return;
         Value sum = 0.0;
         for (int i = 0; i < rec.mask.count(); ++i)

@@ -1,15 +1,9 @@
 #include "mttkrp.hpp"
 
-#include <algorithm>
-
 #include "common/log.hpp"
 
 namespace tmu::kernels {
 
-using sim::MicroOp;
-using sim::SimdConfig;
-using sim::Trace;
-using sim::addrOf;
 using tensor::CooTensor;
 using tensor::DenseMatrix;
 
@@ -35,68 +29,6 @@ mttkrpRef(const CooTensor &a, const DenseMatrix &b, const DenseMatrix &c,
             zi[j] += v * bk[j] * cl[j];
     }
     return z;
-}
-
-namespace {
-
-enum MttkrpPc : std::uint16_t { kPcNnz = 30, kPcRank = 31 };
-
-} // namespace
-
-Trace
-traceMttkrp(const CooTensor &a, const DenseMatrix &b,
-            const DenseMatrix &c, DenseMatrix &z, Index nnzBegin,
-            Index nnzEnd, SimdConfig simd)
-{
-    TMU_ASSERT(a.order() == 3);
-    TMU_ASSERT(b.cols() == c.cols() && z.cols() == b.cols());
-    const Index rank = b.cols();
-    const int vl = simd.lanes();
-
-    for (Index p = nnzBegin; p < nnzEnd; ++p) {
-        // Coordinate + value loads (COO singleton levels).
-        co_yield MicroOp::load(addrOf(a.idxs(0).data(), p), 8);
-        co_yield MicroOp::load(addrOf(a.idxs(1).data(), p), 8);
-        co_yield MicroOp::load(addrOf(a.idxs(2).data(), p), 8);
-        co_yield MicroOp::load(addrOf(a.vals().data(), p), 8);
-
-        const Index i = a.idx(0, p);
-        const Index k = a.idx(1, p);
-        const Index l = a.idx(2, p);
-        const Value v = a.val(p);
-        const Value *bk = b.row(k);
-        const Value *cl = c.row(l);
-        Value *zi = z.row(i);
-
-        // Rank loop, vectorized: B and C row chunks, Z read-modify-write.
-        // Factor-row addresses depend on the coordinate loads above:
-        // chunk c starts 4 + 6c ops after the 4 coordinate loads.
-        int chunk = 0;
-        for (Index j = 0; j < rank; j += vl, ++chunk) {
-            const int n = static_cast<int>(std::min<Index>(vl, rank - j));
-            const int back = 6 * chunk;
-            co_yield MicroOp::load(
-                addrOf(b.data(), k * rank + j),
-                static_cast<std::uint8_t>(n * 8),
-                static_cast<std::uint8_t>(std::min(back + 3, 255)));
-            co_yield MicroOp::load(
-                addrOf(c.data(), l * rank + j),
-                static_cast<std::uint8_t>(n * 8),
-                static_cast<std::uint8_t>(std::min(back + 3, 255)));
-            co_yield MicroOp::load(
-                addrOf(z.data(), i * rank + j),
-                static_cast<std::uint8_t>(n * 8),
-                static_cast<std::uint8_t>(std::min(back + 6, 255)));
-            co_yield MicroOp::flop(static_cast<std::uint16_t>(3 * n));
-            for (int lane = 0; lane < n; ++lane)
-                zi[j + lane] += v * bk[j + lane] * cl[j + lane];
-            co_yield MicroOp::store(addrOf(z.data(), i * rank + j),
-                                    static_cast<std::uint8_t>(n * 8));
-            co_yield MicroOp::branch(kPcRank, j + vl < rank);
-        }
-        co_yield MicroOp::branch(kPcNnz, p + 1 < nnzEnd);
-    }
-    co_yield MicroOp::halt();
 }
 
 } // namespace tmu::kernels

@@ -7,7 +7,6 @@
 
 #pragma once
 
-#include "sim/microop.hpp"
 #include "tensor/coo.hpp"
 #include "tensor/dense.hpp"
 
@@ -21,18 +20,5 @@ namespace tmu::kernels {
 tensor::DenseMatrix mttkrpRef(const tensor::CooTensor &a,
                               const tensor::DenseMatrix &b,
                               const tensor::DenseMatrix &c, int mode);
-
-/**
- * Vectorized baseline MTTKRP (mode 0) over nonzeros [nnzBegin, nnzEnd):
- * per nonzero, load three coordinates + value, two dense factor rows,
- * FMA across the rank, accumulate into the output row (Phipps & Kolda
- * permutation layout: nonzeros sorted by mode 0 so output rows stay
- * resident). Adds into z, which the caller must zero-initialize.
- */
-sim::Trace traceMttkrp(const tensor::CooTensor &a,
-                       const tensor::DenseMatrix &b,
-                       const tensor::DenseMatrix &c,
-                       tensor::DenseMatrix &z, Index nnzBegin,
-                       Index nnzEnd, sim::SimdConfig simd);
 
 } // namespace tmu::kernels

@@ -7,10 +7,6 @@
 
 namespace tmu::kernels {
 
-using sim::MicroOp;
-using sim::SimdConfig;
-using sim::Trace;
-using sim::addrOf;
 using tensor::CsrMatrix;
 using tensor::DenseVector;
 
@@ -44,54 +40,6 @@ pagerankRef(const CsrMatrix &a, const PageRankConfig &cfg)
         std::swap(x, next);
     }
     return x;
-}
-
-namespace {
-
-enum PrPc : std::uint16_t { kPcOuter = 50, kPcInner = 51 };
-
-} // namespace
-
-Trace
-tracePagerankIter(const CsrMatrix &a, const DenseVector &contrib,
-                  DenseVector &xNext, double damping, Index rowBegin,
-                  Index rowEnd, SimdConfig simd)
-{
-    const Index n = a.rows();
-    const double base = (1.0 - damping) / static_cast<double>(n);
-    const int vl = simd.lanes();
-
-    for (Index r = rowBegin; r < rowEnd; ++r) {
-        co_yield MicroOp::load(addrOf(a.ptrs().data(), r), 8);
-        co_yield MicroOp::load(addrOf(a.ptrs().data(), r + 1), 8);
-
-        const Index pb = a.rowBegin(r), pe = a.rowEnd(r);
-        Value sum = 0.0;
-        for (Index p = pb; p < pe; p += vl) {
-            const int lanes = static_cast<int>(std::min<Index>(vl, pe - p));
-            co_yield MicroOp::load(addrOf(a.idxs().data(), p),
-                                   static_cast<std::uint8_t>(lanes * 8));
-            co_yield MicroOp::load(addrOf(a.vals().data(), p),
-                                   static_cast<std::uint8_t>(lanes * 8));
-            for (int l = 0; l < lanes; ++l) {
-                const Index j = a.idxs()[static_cast<size_t>(p + l)];
-                co_yield MicroOp::load(addrOf(contrib.data(), j), 8,
-                                       static_cast<std::uint8_t>(l + 2),
-                                       addrOf(a.idxs().data(), p + l));
-                sum += a.vals()[static_cast<size_t>(p + l)] * contrib[j];
-            }
-            co_yield MicroOp::flop(static_cast<std::uint16_t>(2 * lanes));
-            co_yield MicroOp::branch(kPcInner, p + vl < pe);
-        }
-        // Weight update (not TMU-accelerated): base + d * sum.
-        if (pe > pb)
-            co_yield MicroOp::flop(static_cast<std::uint16_t>(vl));
-        co_yield MicroOp::flop(2);
-        xNext[r] = base + damping * sum;
-        co_yield MicroOp::store(addrOf(xNext.data(), r), 8);
-        co_yield MicroOp::branch(kPcOuter, r + 1 < rowEnd);
-    }
-    co_yield MicroOp::halt();
 }
 
 } // namespace tmu::kernels

@@ -7,7 +7,6 @@
 
 #pragma once
 
-#include "sim/microop.hpp"
 #include "tensor/csr.hpp"
 #include "tensor/dense.hpp"
 
@@ -23,17 +22,5 @@ struct PageRankConfig
 /** Reference PageRank on an adjacency matrix (A_ij = edge j -> i). */
 tensor::DenseVector pagerankRef(const tensor::CsrMatrix &a,
                                 const PageRankConfig &cfg);
-
-/**
- * One baseline PageRank iteration over rows [rowBegin, rowEnd): an SpMV
- * over the contribution vector plus the weight update (which the TMU
- * does not accelerate; paper Sec. 7.1). contrib must hold
- * x_prev[j]/outdeg[j]; writes xNext.
- */
-sim::Trace tracePagerankIter(const tensor::CsrMatrix &a,
-                             const tensor::DenseVector &contrib,
-                             tensor::DenseVector &xNext, double damping,
-                             Index rowBegin, Index rowEnd,
-                             sim::SimdConfig simd);
 
 } // namespace tmu::kernels

@@ -91,9 +91,6 @@ enum SpaddPc : std::uint16_t {
     kPcLoop = 23,
     kPcTailA = 24,
     kPcTailB = 25,
-    kPcKActive = 26, //!< data-dependent: lane holds current min (SpKAdd)
-    kPcKLoop = 27,
-    kPcKRow = 28,
 };
 
 } // namespace
@@ -182,123 +179,6 @@ traceSpadd(const CsrMatrix &a, const CsrMatrix &b,
         }
         outRowNnz.push_back(emitted);
         co_yield MicroOp::branch(kPcRow, r + 1 < rowEnd);
-    }
-    co_yield MicroOp::halt();
-}
-
-Trace
-traceSpkadd(const std::vector<DcsrMatrix> &inputs,
-            std::vector<Index> &outIdxs, std::vector<Value> &outVals,
-            std::vector<Index> &outRowNnz, Index rowBegin, Index rowEnd,
-            SimdConfig /*simd*/)
-{
-    TMU_ASSERT(!inputs.empty());
-    const auto k = inputs.size();
-
-    // Stored-row cursors, advanced to rowBegin first.
-    std::vector<Index> rowCur(k, 0);
-    for (size_t m = 0; m < k; ++m) {
-        const auto &in = inputs[m];
-        while (rowCur[m] < in.numStoredRows() &&
-               in.storedRowCoord(rowCur[m]) < rowBegin) {
-            ++rowCur[m];
-        }
-    }
-
-    std::vector<Index> pos(k), end(k);
-    for (Index r = rowBegin; r < rowEnd; ++r) {
-        // Row-level merge: gather each input's next stored-row
-        // coordinate, compare against r as a vector, load the row
-        // pointers of the matching lanes.
-        int activeLanes = 0;
-        for (size_t m = 0; m < k; ++m) {
-            const auto &in = inputs[m];
-            if (rowCur[m] < in.numStoredRows()) {
-                co_yield MicroOp::load(
-                    addrOf(in.rowIdxs().data(), rowCur[m]), 8);
-            }
-            const bool active = rowCur[m] < in.numStoredRows() &&
-                                in.storedRowCoord(rowCur[m]) == r;
-            if (active) {
-                co_yield MicroOp::load(
-                    addrOf(in.rowPtrs().data(), rowCur[m]), 8);
-                co_yield MicroOp::load(
-                    addrOf(in.rowPtrs().data(), rowCur[m] + 1), 8);
-                pos[m] = in.rowPtrs()[static_cast<size_t>(rowCur[m])];
-                end[m] = in.rowPtrs()[static_cast<size_t>(rowCur[m] + 1)];
-                ++rowCur[m];
-                ++activeLanes;
-            } else {
-                pos[m] = end[m] = 0;
-            }
-        }
-        co_yield MicroOp::iop(); // vector compare-to-mask
-        co_yield MicroOp::branch(kPcKActive, activeLanes > 0);
-
-        // Column-level K-way merge, SVE-assisted (Hussain et al.):
-        // gather the K head coordinates, a vector-min finds the
-        // minimum and its lane mask branchlessly; only the advance
-        // decision and the loop itself are data-dependent branches.
-        Index emitted = 0;
-        for (;;) {
-            Index minC = kInvalidIndex;
-            int hits = 0;
-            for (size_t m = 0; m < k; ++m) {
-                if (pos[m] < end[m]) {
-                    // Head-coordinate load + compare, one per lane.
-                    co_yield MicroOp::load(
-                        addrOf(inputs[m].colIdxs().data(), pos[m]), 8);
-                    co_yield MicroOp::iop();
-                    const Index c = inputs[m]
-                        .colIdxs()[static_cast<size_t>(pos[m])];
-                    if (minC == kInvalidIndex || c < minC)
-                        minC = c;
-                }
-            }
-            // Min-selection tree: the last two levels resolve with
-            // data-dependent picks (which side holds the minimum
-            // varies per step); upper levels fold into vector ops.
-            for (size_t lvl = 1; lvl < k && lvl <= 2; lvl <<= 1) {
-                co_yield MicroOp::iop();
-                co_yield MicroOp::branch(
-                    kPcWhich,
-                    ((minC >> lvl) & 1) != 0); // data-dependent pattern
-            }
-            co_yield MicroOp::branch(kPcKLoop, minC != kInvalidIndex);
-            if (minC == kInvalidIndex)
-                break;
-
-            Value sum = 0.0;
-            for (size_t m = 0; m < k; ++m) {
-                const bool hit =
-                    pos[m] < end[m] &&
-                    inputs[m].colIdxs()[static_cast<size_t>(pos[m])] ==
-                        minC;
-                if (hit) {
-                    co_yield MicroOp::load(
-                        addrOf(inputs[m].vals().data(), pos[m]), 8);
-                    sum += inputs[m].vals()[static_cast<size_t>(pos[m])];
-                    ++pos[m];
-                    ++hits;
-                }
-            }
-            // Masked vector sum, then the cursor-advance loop: iterate
-            // the set bits of the hit mask (count and pattern are
-            // data-dependent, the source of this kernel's mispredicts).
-            co_yield MicroOp::flop(static_cast<std::uint16_t>(hits));
-            for (int h = 0; h < hits; ++h) {
-                co_yield MicroOp::iop();
-                co_yield MicroOp::branch(kPcKActive, h + 1 < hits);
-            }
-            outIdxs.push_back(minC);
-            outVals.push_back(sum);
-            ++emitted;
-            co_yield MicroOp::store(
-                addrOf(outVals.data(),
-                       static_cast<Index>(outVals.size() - 1)), 8);
-        }
-        outRowNnz.push_back(emitted);
-        co_yield MicroOp::branch(kPcKRow, r + 1 < rowEnd);
     }
     co_yield MicroOp::halt();
 }

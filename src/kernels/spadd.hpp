@@ -34,16 +34,4 @@ sim::Trace traceSpadd(const tensor::CsrMatrix &a,
                       std::vector<Index> &outRowNnz, Index rowBegin,
                       Index rowEnd, sim::SimdConfig simd);
 
-/**
- * Baseline SpKAdd over output rows [rowBegin, rowEnd): K-way heap-less
- * min-scan merge of the K row fibers with the same row index, the
- * pattern of Hussain et al. (paper [27]). Appends to the caller's
- * output arrays.
- */
-sim::Trace traceSpkadd(const std::vector<tensor::DcsrMatrix> &inputs,
-                       std::vector<Index> &outIdxs,
-                       std::vector<Value> &outVals,
-                       std::vector<Index> &outRowNnz, Index rowBegin,
-                       Index rowEnd, sim::SimdConfig simd);
-
 } // namespace tmu::kernels

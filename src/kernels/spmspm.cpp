@@ -1,16 +1,11 @@
 #include "spmspm.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/log.hpp"
 
 namespace tmu::kernels {
 
-using sim::MicroOp;
-using sim::SimdConfig;
-using sim::Trace;
-using sim::addrOf;
 using tensor::CsrMatrix;
 
 tensor::CsrMatrix
@@ -81,119 +76,6 @@ spmspmRowNnz(const CsrMatrix &a, const CsrMatrix &b)
             seen[static_cast<size_t>(j)] = false;
     }
     return rowNnz;
-}
-
-namespace {
-
-enum SpmspmPc : std::uint16_t {
-    kPcRowA = 10,
-    kPcNnzA = 11,
-    kPcRowB = 12,
-    kPcFresh = 13,
-    kPcSort = 14,
-    kPcEmit = 15,
-};
-
-} // namespace
-
-Trace
-traceSpmspm(const CsrMatrix &a, const CsrMatrix &b,
-            std::vector<Index> &outIdxs, std::vector<Value> &outVals,
-            std::vector<Index> &outRowNnz, Index rowBegin, Index rowEnd,
-            SimdConfig simd)
-{
-    TMU_ASSERT(a.cols() == b.rows());
-    TMU_ASSERT(rowBegin >= 0 && rowEnd <= a.rows());
-    const int vl = simd.lanes();
-
-    std::vector<Value> acc(static_cast<size_t>(b.cols()), 0.0);
-    std::vector<char> seen(static_cast<size_t>(b.cols()), 0);
-    std::vector<Index> touched;
-
-    for (Index i = rowBegin; i < rowEnd; ++i) {
-        co_yield MicroOp::load(addrOf(a.ptrs().data(), i), 8);
-        co_yield MicroOp::load(addrOf(a.ptrs().data(), i + 1), 8);
-        touched.clear();
-
-        for (Index p = a.rowBegin(i); p < a.rowEnd(i); ++p) {
-            // Scalar load of (k, a_val).
-            const Index k = a.idxs()[static_cast<size_t>(p)];
-            const Value av = a.vals()[static_cast<size_t>(p)];
-            co_yield MicroOp::load(addrOf(a.idxs().data(), p), 8);
-            co_yield MicroOp::load(addrOf(a.vals().data(), p), 8);
-            // Row lookup of B (scan-and-lookup with higher locality):
-            // the ptr loads depend on the idx load above.
-            co_yield MicroOp::load(addrOf(b.ptrs().data(), k), 8, 2,
-                                   addrOf(a.idxs().data(), p));
-            co_yield MicroOp::load(addrOf(b.ptrs().data(), k + 1), 8, 3,
-                                   addrOf(a.idxs().data(), p));
-
-            for (Index q = b.rowBegin(k); q < b.rowEnd(k); q += vl) {
-                const int n =
-                    static_cast<int>(std::min<Index>(vl, b.rowEnd(k) - q));
-                co_yield MicroOp::load(addrOf(b.idxs().data(), q),
-                                       static_cast<std::uint8_t>(n * 8));
-                co_yield MicroOp::load(addrOf(b.vals().data(), q),
-                                       static_cast<std::uint8_t>(n * 8));
-                co_yield MicroOp::flop(static_cast<std::uint16_t>(n));
-
-                // Scatter-accumulate into the dense workspace: vector
-                // gather of acc[j], FMA, scatter back; the novelty
-                // check is a branchless bitmap update (one extra op).
-                for (int lane = 0; lane < n; ++lane) {
-                    const auto j = static_cast<size_t>(
-                        b.idxs()[static_cast<size_t>(q + lane)]);
-                    // Producer is the b.idxs vector load, 2 ops per
-                    // preceding lane plus the 3 chunk-header ops back.
-                    co_yield MicroOp::load(
-                        addrOf(acc.data(), static_cast<Index>(j)), 8,
-                        static_cast<std::uint8_t>(2 * lane + 3));
-                    co_yield MicroOp::store(
-                        addrOf(acc.data(), static_cast<Index>(j)), 8);
-                    if (!seen[j]) {
-                        seen[j] = 1;
-                        touched.push_back(static_cast<Index>(j));
-                    }
-                    acc[j] += av * b.vals()[static_cast<size_t>(q + lane)];
-                }
-                co_yield MicroOp::flop(static_cast<std::uint16_t>(2 * n));
-                co_yield MicroOp::iop();
-                co_yield MicroOp::branch(kPcRowB, q + vl < b.rowEnd(k));
-            }
-            co_yield MicroOp::branch(kPcNnzA, p + 1 < a.rowEnd(i));
-        }
-
-        // Sort touched columns (compaction/ordering cost of the
-        // workspace approach): ~n log2 n compare/branch pairs.
-        std::sort(touched.begin(), touched.end());
-        const auto tn = static_cast<double>(touched.size());
-        const auto cmps = static_cast<Index>(
-            tn > 1.0 ? tn * std::log2(tn) : 0.0);
-        for (Index c = 0; c < cmps; ++c) {
-            co_yield MicroOp::iop();
-            co_yield MicroOp::branch(kPcSort, (c & 1) != 0);
-        }
-
-        // Emit the output row: gather from acc, append to Z.
-        for (size_t t = 0; t < touched.size(); ++t) {
-            const auto j = static_cast<size_t>(touched[t]);
-            co_yield MicroOp::load(
-                addrOf(acc.data(), static_cast<Index>(j)), 8);
-            outIdxs.push_back(static_cast<Index>(j));
-            outVals.push_back(acc[j]);
-            acc[j] = 0.0;
-            seen[j] = 0;
-            co_yield MicroOp::store(
-                addrOf(outVals.data(),
-                       static_cast<Index>(outVals.size() - 1)), 8);
-            co_yield MicroOp::store(
-                addrOf(acc.data(), static_cast<Index>(j)), 8);
-            co_yield MicroOp::branch(kPcEmit, t + 1 < touched.size());
-        }
-        outRowNnz.push_back(static_cast<Index>(touched.size()));
-        co_yield MicroOp::branch(kPcRowA, i + 1 < rowEnd);
-    }
-    co_yield MicroOp::halt();
 }
 
 } // namespace tmu::kernels

@@ -7,7 +7,6 @@
 
 #pragma once
 
-#include "sim/microop.hpp"
 #include "tensor/csr.hpp"
 
 namespace tmu::kernels {
@@ -22,18 +21,5 @@ tensor::CsrMatrix spmspmRef(const tensor::CsrMatrix &a,
  */
 std::vector<Index> spmspmRowNnz(const tensor::CsrMatrix &a,
                                 const tensor::CsrMatrix &b);
-
-/**
- * Vectorized baseline Gustavson over output rows [rowBegin, rowEnd):
- * dense-accumulator workspace, per-row sort of touched columns, result
- * appended to the caller's output triplet arrays (ptrs entry per row).
- * Emits the corresponding micro-op stream.
- */
-sim::Trace traceSpmspm(const tensor::CsrMatrix &a,
-                       const tensor::CsrMatrix &b,
-                       std::vector<Index> &outIdxs,
-                       std::vector<Value> &outVals,
-                       std::vector<Index> &outRowNnz, Index rowBegin,
-                       Index rowEnd, sim::SimdConfig simd);
 
 } // namespace tmu::kernels

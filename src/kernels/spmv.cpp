@@ -1,15 +1,9 @@
 #include "spmv.hpp"
 
-#include <algorithm>
-
 #include "common/log.hpp"
 
 namespace tmu::kernels {
 
-using sim::MicroOp;
-using sim::SimdConfig;
-using sim::Trace;
-using sim::addrOf;
 using tensor::CsrMatrix;
 using tensor::DenseVector;
 
@@ -27,67 +21,6 @@ spmvRef(const CsrMatrix &a, const DenseVector &b)
         x[r] = sum;
     }
     return x;
-}
-
-namespace {
-
-/** Branch-predictor slots for the SpMV loops. */
-enum SpmvPc : std::uint16_t { kPcOuter = 1, kPcInner = 2 };
-
-} // namespace
-
-Trace
-traceSpmv(const CsrMatrix &a, const DenseVector &b, DenseVector &x,
-          Index rowBegin, Index rowEnd, SimdConfig simd)
-{
-    TMU_ASSERT(a.cols() == b.size() && x.size() == a.rows());
-    TMU_ASSERT(rowBegin >= 0 && rowEnd <= a.rows());
-    const int vl = simd.lanes();
-
-    for (Index r = rowBegin; r < rowEnd; ++r) {
-        // Row-pointer loads (outer loop header, Fig. 4 lines 3-4).
-        co_yield MicroOp::load(addrOf(a.ptrs().data(), r), 8);
-        co_yield MicroOp::load(addrOf(a.ptrs().data(), r + 1), 8);
-        co_yield MicroOp::iop();
-
-        const Index pb = a.rowBegin(r), pe = a.rowEnd(r);
-        Value sum = 0.0;
-        for (Index p = pb; p < pe; p += vl) {
-            const int n = static_cast<int>(std::min<Index>(vl, pe - p));
-
-            // Vector load of column indexes, then of matrix values.
-            co_yield MicroOp::load(addrOf(a.idxs().data(), p),
-                                   static_cast<std::uint8_t>(n * 8));
-            co_yield MicroOp::load(addrOf(a.vals().data(), p),
-                                   static_cast<std::uint8_t>(n * 8));
-
-            // Gather b[idxs]: one element access per lane, each with an
-            // address dependency on the idx vector load above.
-            Value partial = 0.0;
-            for (int lane = 0; lane < n; ++lane) {
-                const Index col =
-                    a.idxs()[static_cast<size_t>(p + lane)];
-                co_yield MicroOp::load(
-                    addrOf(b.data(), col), 8,
-                    static_cast<std::uint8_t>(lane + 2),
-                    addrOf(a.idxs().data(), p + lane));
-                partial += a.vals()[static_cast<size_t>(p + lane)] * b[col];
-            }
-            sum += partial;
-
-            // Vector FMA (2 flops per active lane).
-            co_yield MicroOp::flop(static_cast<std::uint16_t>(2 * n));
-            co_yield MicroOp::branch(kPcInner, p + vl < pe);
-        }
-
-        // Horizontal reduce + result store (inner-loop tail, line 10).
-        if (pe > pb)
-            co_yield MicroOp::flop(static_cast<std::uint16_t>(vl));
-        x[r] = sum;
-        co_yield MicroOp::store(addrOf(x.data(), r), 8);
-        co_yield MicroOp::branch(kPcOuter, r + 1 < rowEnd);
-    }
-    co_yield MicroOp::halt();
 }
 
 } // namespace tmu::kernels

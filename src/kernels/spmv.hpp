@@ -6,7 +6,6 @@
 
 #pragma once
 
-#include "sim/microop.hpp"
 #include "tensor/csr.hpp"
 #include "tensor/dense.hpp"
 
@@ -15,15 +14,5 @@ namespace tmu::kernels {
 /** Reference SpMV: x = A * b. */
 tensor::DenseVector spmvRef(const tensor::CsrMatrix &a,
                             const tensor::DenseVector &b);
-
-/**
- * SVE-style vectorized baseline SpMV over the row range [rowBegin,
- * rowEnd): computes x and yields the micro-op stream of the TACO/SVE
- * implementation (vector loads of idxs/vals, gather of b, FMA, reduce,
- * data-dependent loop branches). Operands must outlive the trace.
- */
-sim::Trace traceSpmv(const tensor::CsrMatrix &a,
-                     const tensor::DenseVector &b, tensor::DenseVector &x,
-                     Index rowBegin, Index rowEnd, sim::SimdConfig simd);
 
 } // namespace tmu::kernels

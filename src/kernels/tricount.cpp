@@ -1,13 +1,9 @@
 #include "tricount.hpp"
 
-#include "common/log.hpp"
 #include "tensor/merge.hpp"
 
 namespace tmu::kernels {
 
-using sim::MicroOp;
-using sim::Trace;
-using sim::addrOf;
 using tensor::CsrMatrix;
 
 std::uint64_t
@@ -22,61 +18,6 @@ tricountRef(const CsrMatrix &l)
         }
     }
     return count;
-}
-
-namespace {
-
-enum TcPc : std::uint16_t {
-    kPcRow = 60,
-    kPcEdge = 61,
-    kPcCmp = 62,
-    kPcLoop = 63,
-};
-
-} // namespace
-
-Trace
-traceTricount(const CsrMatrix &l, std::uint64_t &count, Index rowBegin,
-              Index rowEnd, sim::SimdConfig /*simd*/)
-{
-    for (Index i = rowBegin; i < rowEnd; ++i) {
-        co_yield MicroOp::load(addrOf(l.ptrs().data(), i), 8);
-        co_yield MicroOp::load(addrOf(l.ptrs().data(), i + 1), 8);
-
-        for (Index p = l.rowBegin(i); p < l.rowEnd(i); ++p) {
-            co_yield MicroOp::load(addrOf(l.idxs().data(), p), 8);
-            const Index j = l.idxs()[static_cast<size_t>(p)];
-            // Row-j pointer loads depend on the edge load.
-            co_yield MicroOp::load(addrOf(l.ptrs().data(), j), 8, 1);
-            co_yield MicroOp::load(addrOf(l.ptrs().data(), j + 1), 8, 2);
-
-            // Two-pointer intersection of rows i and j.
-            Index pa = l.rowBegin(i), pb = l.rowBegin(j);
-            const Index ea = l.rowEnd(i), eb = l.rowEnd(j);
-            while (pa < ea && pb < eb) {
-                co_yield MicroOp::load(addrOf(l.idxs().data(), pa), 8);
-                co_yield MicroOp::load(addrOf(l.idxs().data(), pb), 8);
-                const Index ca = l.idxs()[static_cast<size_t>(pa)];
-                const Index cb = l.idxs()[static_cast<size_t>(pb)];
-                co_yield MicroOp::iop();
-                co_yield MicroOp::branch(kPcCmp, ca <= cb);
-                if (ca == cb) {
-                    ++count;
-                    co_yield MicroOp::iop();
-                    ++pa;
-                    ++pb;
-                } else if (ca < cb) {
-                    ++pa;
-                } else {
-                    ++pb;
-                }
-                co_yield MicroOp::branch(kPcLoop, pa < ea && pb < eb);
-            }
-            co_yield MicroOp::branch(kPcEdge, p + 1 < l.rowEnd(i));
-        }
-        co_yield MicroOp::branch(kPcRow, i + 1 < rowEnd);
-    }
-    co_yield MicroOp::halt();
 }
 
 } // namespace tmu::kernels

@@ -10,21 +10,11 @@
 
 #include <cstdint>
 
-#include "sim/microop.hpp"
 #include "tensor/csr.hpp"
 
 namespace tmu::kernels {
 
 /** Reference triangle count; @p l must be a strict lower triangle. */
 std::uint64_t tricountRef(const tensor::CsrMatrix &l);
-
-/**
- * Baseline triangle count over rows [rowBegin, rowEnd): per edge (i,j)
- * a two-pointer conjunctive merge of rows i and j with data-dependent
- * branches. Adds into @p count.
- */
-sim::Trace traceTricount(const tensor::CsrMatrix &l, std::uint64_t &count,
-                         Index rowBegin, Index rowEnd,
-                         sim::SimdConfig simd);
 
 } // namespace tmu::kernels

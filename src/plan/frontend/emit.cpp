@@ -1,14 +1,12 @@
 /**
  * @file
- * Plan emitter: classified einsum -> validated PlanSpec. For the seven
- * legacy kernels the emitted layers, TUs, streams, group streams and
- * callbacks replicate the hand-authored factories in plan/plans.cpp
- * field-for-field (same stream names, expected fiber lengths, trace PC
- * slots and callback registration order), so the compiled plan lowers
- * to a record-identical TmuProgram and a cycle-identical run —
- * tests/frontend_test.cpp pins this. The three frontend-only
- * archetypes (SDDMM, sparse-output SpMM, SpMM+scatter) exist *only*
- * here: no hand-written kernel code backs them.
+ * Plan emitter: classified einsum -> validated PlanSpec, one emitter
+ * per archetype: the layers, TUs, streams, group streams, expected
+ * fiber lengths, trace PC slots and callback registration order of
+ * each kernel the workloads and Table 4 run. PlanPinned.* in
+ * tests/plan_test.cpp pins the record and trace streams they lower to,
+ * and EveryWorkload/PinnedCycles.* in tests/workloads_test.cpp the
+ * cycles of the workloads that run them.
  */
 
 #include <algorithm>
@@ -227,7 +225,7 @@ operandSpecs(const std::vector<const AstTensor *> &factors)
         for (OperandSpec &o : ops) {
             if (o.name == f->name) {
                 // Repeated factor (TriangleCount): keep the last
-                // occurrence's subscripts, matching the hand spec.
+                // occurrence's subscripts.
                 o.indices = subs(*f);
                 dup = true;
             }

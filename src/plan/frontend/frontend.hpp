@@ -20,10 +20,6 @@
  *                         and callback structure, returning a PlanSpec
  *                         that passes validate() and lowers through
  *                         the existing reference/trace/program passes.
- *
- * The hand-authored factories in plan/plans.hpp remain as comparison
- * references: tests pin that compiling each legacy kernel's einsum
- * reproduces the hand spec record-for-record and cycle-for-cycle.
  */
 
 #pragma once

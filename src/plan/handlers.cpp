@@ -2,11 +2,10 @@
  * @file
  * Plan -> TMU-mode callback-handler table. One handler body per
  * ComputeKind, registered on the OutqSource under the plan-scoped
- * callback ids; the bodies replicate the legacy per-workload lambdas
- * exactly (same host-side compute, same micro-op cost model), so the
- * simulated timing of a plan-lowered run is identical to the old
- * hand-written path. Handlers capture the per-core PlanState by
- * reference and the plan's binding pointers/scalars by value.
+ * callback ids: each performs the host-side compute and appends the
+ * micro-ops the core executes for it. Handlers capture the per-core
+ * PlanState by reference and the plan's binding pointers/scalars by
+ * value.
  */
 
 #include <algorithm>

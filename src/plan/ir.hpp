@@ -2,7 +2,7 @@
  * @file
  * Kernel-plan IR: one declarative spec per Table-4 kernel, lowered to
  * (1) a golden reference evaluator over the src/tensor iterators,
- * (2) the SVE micro-op trace the hand-written baseline kernels emit,
+ * (2) the SVE micro-op trace of the baseline software kernel,
  * (3) the per-core engine::TmuProgram plus its callback-handler table.
  *
  * A plan describes an einsum over level-formatted operands (dense /
@@ -16,10 +16,8 @@
  * Everything is referenced *by name*: streams name their index parents
  * within the TU, traversal bounds name streams of the previous layer,
  * group streams name the per-lane constituent, callbacks name group
- * streams. Callback ids are plan-scoped — allocated sequentially at
- * registration time and checked for name collisions — replacing the
- * old shared `Cb` enum whose implicit values silently aliased across
- * workloads.
+ * streams. Callback ids are plan-scoped: allocated sequentially at
+ * registration time and checked for name collisions.
  */
 
 #pragma once
@@ -169,13 +167,12 @@ const char *planKindName(PlanKind k);
 enum class Variant : std::uint8_t { P0, P1, P2 };
 
 /**
- * Branch-predictor PC slots and trace knobs: the trace lowering emits
- * the exact micro-op stream of the legacy hand-written kernel, whose
- * PC numbering and header shape are kernel-specific.
+ * Branch-predictor PC slots and trace knobs of the baseline kernel,
+ * whose PC numbering and header shape are kernel-specific.
  */
 struct TraceShape
 {
-    /** PC slots, per-kind meaning (in legacy kernel order). */
+    /** PC slots, per-kind meaning (in loop order). */
     std::vector<std::uint16_t> pcs;
     /** RowReduce: emit the iop after the row-pointer loads (SpMV yes,
      *  PageRank no). */

@@ -5,17 +5,15 @@
  *   lowerReference — interpret the plan over the src/tensor iterators
  *                    and produce golden outputs (no simulation).
  *   lowerTrace     — emit the SVE micro-op trace of the baseline
- *                    software kernel (byte-identical to the legacy
- *                    hand-written src/kernels traces).
+ *                    software kernel.
  *   lowerProgram   — generate the engine::TmuProgram configuration by
  *                    a generic structural walk of the plan's layers.
  *   bindHandlers   — register the plan's callback-handler table on an
  *                    OutqSource (the TMU-mode compute bodies).
  *
  * One spec, four consumers: the workloads run trace/program+handlers,
- * the testing oracle cross-checks all legs against the legacy
- * implementations, and bench/table4_mapping renders the program
- * summaries.
+ * the testing oracle cross-checks all legs against the *Ref reference
+ * kernels, and bench/table4_mapping renders the program summaries.
  */
 
 #pragma once
@@ -60,9 +58,8 @@ struct TraceSinks
 };
 
 /**
- * Baseline-mode lowering: the micro-op trace of the software kernel,
- * op-for-op identical to the legacy src/kernels implementation the
- * plan replaced. Dense outputs go through the plan's bindings; sparse
+ * Baseline-mode lowering: the micro-op trace of the software kernel.
+ * Dense outputs go through the plan's bindings; sparse
  * collectors (and the triangle count) through @p io. The lowering
  * copies what it needs out of the plan up front, so only the bound
  * tensors and the sink buffers must outlive the coroutine.

@@ -1,12 +1,13 @@
 /**
  * @file
- * Plan -> baseline SVE micro-op trace. One coroutine per PlanKind,
- * op-for-op identical to the legacy hand-written src/kernels traces it
- * replaces (same loads with the same sizes and address dependencies,
- * same flop/iop/branch shape, same branch-PC numbering via the plan's
- * TraceShape). lowerTrace itself is a plain dispatcher: it copies the
- * trace knobs and binding pointers out of the plan, so only the bound
- * tensors and the sink buffers must outlive the returned coroutine.
+ * Plan -> baseline SVE micro-op trace. One coroutine per PlanKind
+ * emits the software kernel's loads (sizes and address dependencies),
+ * flop/iop/branch shape and branch-PC numbering (via the plan's
+ * TraceShape); PlanPinned.* in tests/plan_test.cpp pins each compiled
+ * kernel's stream. lowerTrace itself is a plain dispatcher: it copies
+ * the trace knobs and binding pointers out of the plan, so only the
+ * bound tensors and the sink buffers must outlive the returned
+ * coroutine.
  */
 
 #include <algorithm>

@@ -51,7 +51,6 @@ serializeRecord(const TaskRecord &r)
     jw.key("task").value(r.task);
     jw.key("input").value(r.input);
     jw.key("status").value(r.status);
-    jw.key("error").value(r.error);
     jw.key("verified").value(r.verified);
     jw.key("output").value(r.output);
     jw.key("runs").beginArray();
@@ -110,7 +109,6 @@ recordFromJson(const json::Value &v)
          {std::pair<const char *, std::string *>{"task", &r.task},
           {"input", &r.input},
           {"status", &r.status},
-          {"error", &r.error},
           {"output", &r.output}}) {
         auto s = memberString(v, field);
         if (!s)

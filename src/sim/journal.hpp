@@ -36,7 +36,6 @@ struct TaskRecord
     std::string task;      //!< workload name
     std::string input;
     std::string status;    //!< "ok" or "failed"
-    std::string error;     //!< non-empty only for prepare errors
     std::string output;    //!< the task's rendered stdout block
     bool verified = false;
     std::vector<TaskRunRecord> runs;

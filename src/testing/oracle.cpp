@@ -1,8 +1,5 @@
 #include "oracle.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <map>
 #include <numeric>
 #include <sstream>
 
@@ -21,7 +18,6 @@
 #include "kernels/tricount.hpp"
 #include "plan/frontend/frontend.hpp"
 #include "plan/lower.hpp"
-#include "plan/plans.hpp"
 #include "sim/addrspace.hpp"
 #include "sim/memsys.hpp"
 #include "tensor/convert.hpp"
@@ -29,7 +25,13 @@
 #include "tensor/mmio.hpp"
 #include "tmu/engine.hpp"
 #include "tmu/functional.hpp"
+#include "tmu/outq.hpp"
 #include "workloads/programs.hpp"
+#include "workloads/wl_einsum.hpp"
+#include "workloads/wl_merge.hpp"
+#include "workloads/wl_spmspm.hpp"
+#include "workloads/wl_spmv.hpp"
+#include "workloads/wl_tensor.hpp"
 
 namespace tmu::testing {
 
@@ -93,82 +95,6 @@ drainTrace(sim::Trace t)
 {
     while (t.next()) {
     }
-}
-
-/** Drain a trace, collecting its micro-ops (side effects still run). */
-std::vector<sim::MicroOp>
-collectOps(sim::Trace t)
-{
-    std::vector<sim::MicroOp> ops;
-    while (t.next())
-        ops.push_back(t.value());
-    return ops;
-}
-
-/**
- * Op-for-op structural diff of two micro-op streams: kind, size,
- * branch outcome, dependency distance, pc and flop count must match.
- * Effective addresses are deliberately excluded — the two legs own
- * different collector/workspace buffers, so canonical addresses differ
- * even for identical access patterns; the value-level output compare
- * and the cycle-identity tests cover the address dimension.
- */
-std::string
-diffOps(const std::string &what, const std::vector<sim::MicroOp> &a,
-        const std::vector<sim::MicroOp> &b)
-{
-    if (a.size() != b.size()) {
-        return detail::format("%s: %zu ops vs %zu", what.c_str(),
-                              a.size(), b.size());
-    }
-    for (size_t i = 0; i < a.size(); ++i) {
-        const sim::MicroOp &x = a[i];
-        const sim::MicroOp &y = b[i];
-        if (x.kind != y.kind || x.size != y.size ||
-            x.taken != y.taken || x.depDist != y.depDist ||
-            x.pc != y.pc || x.flops != y.flops) {
-            return detail::format(
-                "%s: op %zu diverges (kind %d vs %d, pc %u vs %u)",
-                what.c_str(), i, static_cast<int>(x.kind),
-                static_cast<int>(y.kind), x.pc, y.pc);
-        }
-    }
-    return {};
-}
-
-/**
- * Like diffRecords, but callback ids must only agree up to a
- * *bijection*: the legacy builders use the shared Cb enum while plan
- * lowering assigns plan-scoped ids in registration order, and neither
- * the record layout nor the timing depends on the id value.
- */
-std::string
-diffRecordsMapped(const std::string &what,
-                  const std::vector<OutqRecord> &a,
-                  const std::vector<OutqRecord> &b)
-{
-    if (a.size() != b.size()) {
-        return detail::format("%s: %zu records vs %zu", what.c_str(),
-                              a.size(), b.size());
-    }
-    std::map<int, int> fwd, rev;
-    for (size_t i = 0; i < a.size(); ++i) {
-        const OutqRecord &x = a[i];
-        const OutqRecord &y = b[i];
-        bool ok = x.layer == y.layer && x.event == y.event &&
-                  x.mask == y.mask && x.operands == y.operands;
-        const auto f = fwd.emplace(x.callbackId, y.callbackId);
-        const auto r = rev.emplace(y.callbackId, x.callbackId);
-        ok = ok && f.first->second == y.callbackId &&
-             r.first->second == x.callbackId;
-        if (!ok) {
-            return detail::format(
-                "%s: record %zu diverges (cb %d vs %d, layer %d vs %d)",
-                what.c_str(), i, x.callbackId, y.callbackId, x.layer,
-                y.layer);
-        }
-    }
-    return {};
 }
 
 /**
@@ -265,32 +191,54 @@ drainEngine(engine::TmuEngine &eng, Cycle maxCycles = 5'000'000)
     return records;
 }
 
-/** Interpret an SpMV P1 program with the Fig. 6 callback pair. */
+/**
+ * Run @p ps's TMU program on a standalone cycle-level engine and drain
+ * its outQ through the production callback handlers
+ * (plan::bindHandlers), as a core consumes it. The handlers write the
+ * plan's bindings and @p st; returns "" or a diagnostic when the
+ * engine does not drain.
+ */
 std::string
-runSpmvProgram(const engine::TmuProgram &p, Index rows, DenseVector &x)
+runPlanOnEngine(const std::string &what, const plan::PlanSpec &ps,
+                plan::PlanState &st)
 {
-    Index row = 0;
-    Value sum = 0.0;
-    bool overflow = false;
-    engine::interpret(p, [&](const OutqRecord &rec) {
-        if (rec.callbackId == workloads::kCbRi) {
-            for (size_t i = 0; i < rec.operands[0].size(); ++i)
-                sum += rec.f64(0, static_cast<int>(i)) *
-                       rec.f64(1, static_cast<int>(i));
-        } else if (rec.callbackId == workloads::kCbRe) {
-            if (row < rows)
-                x[row] = sum;
-            else
-                overflow = true;
-            ++row;
-            sum = 0.0;
+    constexpr Cycle kMaxCycles = 5'000'000;
+    sim::SystemConfig sys = sim::SystemConfig::neoverseN1();
+    sys.cores = 1;
+    sim::MemorySystem mem(sys);
+    const engine::TmuProgram prog = plan::lowerProgram(ps);
+    engine::TmuEngine eng(0, engine::EngineConfig{}, mem, prog);
+    engine::OutqSource src(eng);
+    plan::initPlanState(ps, st);
+    plan::bindHandlers(ps, src, st);
+    sim::MicroOp op;
+    Cycle now = 0;
+    while (!src.done() && now < kMaxCycles) {
+        ++now;
+        eng.tick(now);
+        while (src.pullOp(op, now)) {
         }
-    });
-    if (overflow || row != rows) {
-        return detail::format(
-            "spmv-tmu: %lld row-end records for %lld rows",
-            static_cast<long long>(row), static_cast<long long>(rows));
     }
+    if (!src.done()) {
+        return detail::format("%s: outQ not drained after %llu cycles",
+                              what.c_str(),
+                              static_cast<unsigned long long>(now));
+    }
+    return {};
+}
+
+/** Compile @p expr (P1) at the oracle's lane count; "" or the error. */
+std::string
+compile(const std::string &what, const char *expr,
+        const plan::frontend::EinsumBindings &fb, int lanes,
+        plan::PlanSpec &out)
+{
+    plan::frontend::CompileOptions fo;
+    fo.lanes = lanes;
+    auto ps = plan::frontend::compileEinsum(expr, fb, fo);
+    if (!ps.ok())
+        return what + "-compile: " + ps.error().str();
+    out = std::move(*ps);
     return {};
 }
 
@@ -357,100 +305,83 @@ checkMatrix(const CooTensor &coo, const OracleConfig &cfg, Mutation mut)
     const Index cols = rcsr.cols();
     Rng rng(cfg.operandSeed);
 
-    // --- SpMV: reference vs drained SVE trace vs TMU program.
+    // --- SpMV: reference kernel vs the compiled plan's reference,
+    // trace and TMU legs.
     DenseVector b(cols);
     for (Index i = 0; i < cols; ++i)
         b[i] = rng.nextValue(-1.0, 1.0);
     const DenseVector spmvWant = kernels::spmvRef(rcsr, b);
     {
         DenseVector x(rows);
-        drainTrace(kernels::traceSpmv(mcsr, b, x, 0, rows, simd));
-        fail(diffDense("spmv-trace", spmvWant, x, tol));
-    }
-    const engine::TmuProgram spmvProg =
-        workloads::buildSpmvP1(mcsr, b, cfg.lanes, 0, rows);
-    {
-        DenseVector x(rows);
-        std::string err = runSpmvProgram(spmvProg, rows, x);
-        if (!err.empty())
+        plan::frontend::EinsumBindings fb;
+        fb.csr["A"] = &mcsr;
+        fb.vec["B"] = &b;
+        fb.outVec = &x;
+        plan::PlanSpec ps;
+        std::string err = compile("spmv", workloads::SpmvWorkload::kEinsum,
+                                  fb, cfg.lanes, ps);
+        if (!err.empty()) {
             fail(std::move(err));
-        else
-            fail(diffDense("spmv-tmu-p1", spmvWant, x, tol));
-    }
-    if (cfg.heavy) {
-        // Cycle-level engine vs functional interpreter, record for
-        // record (the strongest TMU-pipeline invariant).
-        const auto want = engine::interpretToVector(spmvProg);
-        sim::SystemConfig sys = sim::SystemConfig::neoverseN1();
-        sim::MemorySystem mem(sys);
-        engine::TmuEngine eng(0, engine::EngineConfig{}, mem, spmvProg);
-        fail(diffRecords("spmv-engine-records", want, drainEngine(eng)));
-    }
-
-    // --- Plan IR (docs/PLAN_IR.md): the declarative SpMV plan must
-    // lower to the same golden values, the same micro-op structure and
-    // the same record stream as the hand-written legs above.
-    {
-        DenseVector xp(rows);
-        plan::PlanSpec ps = plan::spmvPlan(mcsr, b, xp, cfg.lanes, 0,
-                                           rows, plan::Variant::P1);
-        ps.validate();
-        plan::lowerReference(ps); // RowReduce writes the binding
-        fail(diffDense("spmv-plan-ref", spmvWant, xp, tol));
-        xp.fill(0.0);
-        const auto planOps = collectOps(plan::lowerTrace(ps, {}, simd));
-        fail(diffDense("spmv-plan-trace", spmvWant, xp, tol));
-        DenseVector xl(rows);
-        const auto legacyOps =
-            collectOps(kernels::traceSpmv(mcsr, b, xl, 0, rows, simd));
-        fail(diffOps("spmv-plan-trace-ops", legacyOps, planOps));
-        fail(diffRecordsMapped(
-            "spmv-plan-records", engine::interpretToVector(spmvProg),
-            engine::interpretToVector(plan::lowerProgram(ps))));
+        } else {
+            plan::lowerReference(ps); // RowReduce writes the binding
+            fail(diffDense("spmv-plan-ref", spmvWant, x, tol));
+            x.fill(0.0);
+            drainTrace(plan::lowerTrace(ps, {}, simd));
+            fail(diffDense("spmv-trace", spmvWant, x, tol));
+            x.fill(0.0);
+            plan::PlanState st;
+            err = runPlanOnEngine("spmv-tmu-p1", ps, st);
+            if (err.empty() && st.row != rows) {
+                err = detail::format(
+                    "spmv-tmu-p1: %lld row-end records for %lld rows",
+                    static_cast<long long>(st.row),
+                    static_cast<long long>(rows));
+            }
+            fail(err.empty() ? diffDense("spmv-tmu-p1", spmvWant, x, tol)
+                             : std::move(err));
+            if (cfg.heavy) {
+                // Cycle-level engine vs functional interpreter, record
+                // for record (the strongest TMU-pipeline invariant).
+                const engine::TmuProgram prog = plan::lowerProgram(ps);
+                sim::SystemConfig sys = sim::SystemConfig::neoverseN1();
+                sim::MemorySystem mem(sys);
+                engine::TmuEngine eng(0, engine::EngineConfig{}, mem,
+                                      prog);
+                fail(diffRecords("spmv-engine-records",
+                                 engine::interpretToVector(prog),
+                                 drainEngine(eng)));
+            }
+        }
     }
     if (rows > 0) {
         // The PageRank variant: same plan family, affine row update.
         DenseVector xp(rows);
-        plan::PlanSpec ps = plan::pagerankPlan(mcsr, b, xp, 0.85,
-                                               cfg.lanes, 0, rows);
-        ps.validate();
-        plan::lowerReference(ps);
-        DenseVector wantPr(rows);
-        for (Index i = 0; i < rows; ++i) {
-            wantPr[i] = (1.0 - 0.85) / static_cast<double>(rows) +
-                        0.85 * spmvWant[i];
-        }
-        fail(diffDense("pagerank-plan-ref", wantPr, xp, tol));
-    }
-
-    // --- Einsum frontend (docs/FRONTEND.md): compiling the SpMV
-    // expression must reproduce the hand-authored plan's record stream
-    // exactly, and the frontend-only kinds (SDDMM, SpMM, SpMM-SC) —
-    // which have no hand-written kernels at all — must agree with
-    // plain host loops through the reference, trace and engine legs.
-    {
-        DenseVector xf(rows);
         plan::frontend::EinsumBindings fb;
         fb.csr["A"] = &mcsr;
-        fb.vec["B"] = &b;
-        fb.outVec = &xf;
-        plan::frontend::CompileOptions fo;
-        fo.lanes = cfg.lanes;
-        fo.end = rows;
-        auto cps = plan::frontend::compileEinsum(
-            "Z(i) = A(i,j; csr) * B(j; dense)", fb, fo);
-        if (!cps.ok()) {
-            fail("spmv-einsum-compile: " + cps.error().str());
+        fb.vec["X"] = &b;
+        fb.outVec = &xp;
+        fb.scalars["alpha"] = 0.85;
+        fb.scalars["beta"] = (1.0 - 0.85) / static_cast<double>(rows);
+        plan::PlanSpec ps;
+        std::string err =
+            compile("pagerank", workloads::PagerankWorkload::kEinsum, fb,
+                    cfg.lanes, ps);
+        if (!err.empty()) {
+            fail(std::move(err));
         } else {
-            DenseVector xh(rows);
-            const plan::PlanSpec hand = plan::spmvPlan(
-                mcsr, b, xh, cfg.lanes, 0, rows, plan::Variant::P1);
-            fail(diffRecords(
-                "spmv-einsum-records",
-                engine::interpretToVector(plan::lowerProgram(hand)),
-                engine::interpretToVector(plan::lowerProgram(*cps))));
+            plan::lowerReference(ps);
+            DenseVector wantPr(rows);
+            for (Index i = 0; i < rows; ++i) {
+                wantPr[i] = (1.0 - 0.85) / static_cast<double>(rows) +
+                            0.85 * spmvWant[i];
+            }
+            fail(diffDense("pagerank-plan-ref", wantPr, xp, tol));
         }
     }
+
+    // --- Einsum frontend (docs/FRONTEND.md): the frontend-only kinds
+    // (SDDMM, SpMM, SpMM-SC) must agree with plain host loops through
+    // the reference, trace and engine legs.
     {
         // SDDMM: Z = A .* (B C^T) sampled on A's pattern.
         const Index rank = 4;
@@ -485,9 +416,7 @@ checkMatrix(const CooTensor &coo, const OracleConfig &cfg, Mutation mut)
         plan::frontend::CompileOptions fo;
         fo.lanes = cfg.lanes;
         auto cps = plan::frontend::compileEinsum(
-            "Z(i,j; csr) = A(i,j; csr) * B(i,k; dense) * "
-            "C(j,k; dense)",
-            fb, fo);
+            workloads::SddmmWorkload::kEinsum, fb, fo);
         if (!err.empty() || !cps.ok()) {
             fail(!err.empty() ? std::move(err)
                               : "sddmm-einsum-compile: " +
@@ -556,7 +485,7 @@ checkMatrix(const CooTensor &coo, const OracleConfig &cfg, Mutation mut)
         plan::frontend::CompileOptions fo;
         fo.lanes = cfg.lanes;
         auto cps = plan::frontend::compileEinsum(
-            "Z(i,j; csr) = A(i,k; csr) * B(k,j; dense)", fb, fo);
+            workloads::SpmmWorkload::kEinsum, fb, fo);
         if (!err.empty() || !cps.ok()) {
             fail(!err.empty() ? std::move(err)
                               : "spmm-einsum-compile: " +
@@ -604,7 +533,7 @@ checkMatrix(const CooTensor &coo, const OracleConfig &cfg, Mutation mut)
         sb.maps["m"] = &map;
         sb.outMat = &z;
         auto sps = plan::frontend::compileEinsum(
-            "Z(m(i), j) = A(i,k; csr) * B(k,j; dense)", sb, fo);
+            workloads::SpmmScatterWorkload::kEinsum, sb, fo);
         if (!sps.ok()) {
             fail("spmm-sc-einsum-compile: " + sps.error().str());
         } else {
@@ -658,80 +587,49 @@ checkMatrix(const CooTensor &coo, const OracleConfig &cfg, Mutation mut)
         const CsrMatrix refK = kernels::spkaddRef(parts);
         fail(diffCsr("spkadd-fold", tensor::cooToCsr(foldCoo), refK,
                      cfg.cmp));
-        std::vector<Index> oi, orn;
-        std::vector<Value> ov;
-        drainTrace(kernels::traceSpkadd(parts, oi, ov, orn, 0,
-                                        foldRows, simd));
-        CsrMatrix got;
-        std::string err = rebuildCsr("spkadd-trace", foldRows, cols,
-                                     orn, oi, ov, got);
-        if (!err.empty())
+        plan::frontend::EinsumBindings fb;
+        fb.ensembles["A^k"] = &parts;
+        plan::PlanSpec ps;
+        std::string err = compile("spkadd", workloads::SpkaddWorkload::kEinsum,
+                                  fb, cfg.lanes, ps);
+        if (!err.empty()) {
             fail(std::move(err));
-        else
-            fail(diffCsr("spkadd-trace", refK, got, exact));
-
-        // Functional TMU leg: kCbRow latches the merged row, kCbCol
-        // reduces the active lanes of one column group.
-        CooTensor merged({foldRows, cols});
-        Index curRow = 0;
-        bool bad = false;
-        engine::interpret(
-            workloads::buildSpkadd(parts, 0, foldRows),
-            [&](const OutqRecord &rec) {
-                if (rec.callbackId == workloads::kCbRow) {
-                    curRow = rec.i64(0, 0);
-                } else if (rec.callbackId == workloads::kCbCol) {
-                    Value sum = 0.0;
-                    for (size_t i = 0; i < rec.operands[1].size(); ++i)
-                        sum += rec.f64(1, static_cast<int>(i));
-                    const Index col = rec.i64(0, 0);
-                    if (curRow < 0 || curRow >= foldRows || col < 0 ||
-                        col >= cols) {
-                        bad = true;
-                        return;
-                    }
-                    merged.push2(curRow, col, sum);
-                }
-            });
-        if (bad) {
-            fail("spkadd-tmu: record coordinate out of range");
         } else {
-            merged.sortAndCombine();
-            fail(diffCoo("spkadd-tmu", tensor::csrToCoo(refK), merged,
-                         exact));
-        }
-
-        // Plan-IR legs (reference, trace, program).
-        {
-            plan::PlanSpec ps = plan::spkaddPlan(parts, 0, foldRows);
-            ps.validate();
             const plan::ReferenceResult pr = plan::lowerReference(ps);
-            CsrMatrix prz;
-            std::string perr =
-                rebuildCsr("spkadd-plan-ref", foldRows, cols, pr.rowNnz,
-                           pr.idxs, pr.vals, prz);
-            if (!perr.empty())
-                fail(std::move(perr));
-            else
-                fail(diffCsr("spkadd-plan-ref", refK, prz, exact));
+            CsrMatrix got;
+            err = rebuildCsr("spkadd-plan-ref", foldRows, cols, pr.rowNnz,
+                             pr.idxs, pr.vals, got);
+            fail(err.empty() ? diffCsr("spkadd-plan-ref", refK, got, exact)
+                             : std::move(err));
 
-            std::vector<Index> pi, prn;
-            std::vector<Value> pv;
-            const auto planOps = collectOps(plan::lowerTrace(
-                ps, {&pi, &pv, &prn, nullptr}, simd));
-            std::vector<Index> li, lrn;
-            std::vector<Value> lv;
-            const auto legacyOps = collectOps(kernels::traceSpkadd(
-                parts, li, lv, lrn, 0, foldRows, simd));
-            fail(diffOps("spkadd-plan-trace-ops", legacyOps, planOps));
-            if (pi != li || pv != lv || prn != lrn)
-                fail("spkadd-plan-trace: collector outputs differ");
+            std::vector<Index> oi, orn;
+            std::vector<Value> ov;
+            drainTrace(plan::lowerTrace(ps, {&oi, &ov, &orn, nullptr},
+                                        simd));
+            err = rebuildCsr("spkadd-trace", foldRows, cols, orn, oi, ov,
+                             got);
+            fail(err.empty() ? diffCsr("spkadd-trace", refK, got, exact)
+                             : std::move(err));
 
-            fail(diffRecordsMapped(
-                "spkadd-plan-records",
-                engine::interpretToVector(
-                    workloads::buildSpkadd(parts, 0, foldRows)),
-                engine::interpretToVector(plan::lowerProgram(ps))));
+            // TMU leg: the row latch and the lane reduce emit one
+            // (row, col, sum) element per merged column group.
+            plan::PlanState st;
+            err = runPlanOnEngine("spkadd-tmu", ps, st);
+            CooTensor merged({foldRows, cols});
+            for (size_t e = 0; err.empty() && e < st.vals.size(); ++e) {
+                const Index row = st.rows[e];
+                const Index col = st.idxs[e];
+                if (row < 0 || row >= foldRows || col < 0 || col >= cols)
+                    err = "spkadd-tmu: record coordinate out of range";
+                else
+                    merged.push2(row, col, st.vals[e]);
+            }
+            if (err.empty()) {
+                merged.sortAndCombine();
+                err = diffCoo("spkadd-tmu", tensor::csrToCoo(refK), merged,
+                              exact);
+            }
+            fail(std::move(err));
         }
     }
 
@@ -752,18 +650,6 @@ checkMatrix(const CooTensor &coo, const OracleConfig &cfg, Mutation mut)
                 break;
             }
         }
-        std::vector<Index> oi, orn;
-        std::vector<Value> ov;
-        drainTrace(kernels::traceSpmspm(mcsr, bT, oi, ov, orn, 0, rows,
-                                        simd));
-        CsrMatrix got;
-        std::string err = rebuildCsr("spmspm-trace", rows, bT.cols(),
-                                     orn, oi, ov, got);
-        if (!err.empty())
-            fail(std::move(err));
-        else
-            fail(diffCsr("spmspm-trace", want, got, tol));
-
         if (cfg.heavy && rows <= 64 && cols <= 64) {
             const DenseMatrix da = tensor::csrToDense(mcsr);
             const DenseMatrix db = tensor::csrToDense(bT);
@@ -789,86 +675,41 @@ checkMatrix(const CooTensor &coo, const OracleConfig &cfg, Mutation mut)
             }
         }
 
-        // TMU P2 functional leg, replicating the wl_spmspm handlers
-        // (seen-bitmap novelty tracking; see kernels/spmspm.cpp).
-        {
-            std::vector<Value> acc(static_cast<size_t>(bT.cols()), 0.0);
-            std::vector<char> seen(static_cast<size_t>(bT.cols()), 0);
-            std::vector<Index> touched, fi, frn;
-            std::vector<Value> fv;
-            Value aVal = 0.0;
-            engine::interpret(
-                workloads::buildSpmspmP2(mcsr, bT, cfg.lanes, 0, rows),
-                [&](const OutqRecord &rec) {
-                    if (rec.callbackId == workloads::kCbSetA) {
-                        aVal = rec.f64(0, 0);
-                    } else if (rec.callbackId == workloads::kCbAcc) {
-                        for (size_t i = 0; i < rec.operands[0].size();
-                             ++i) {
-                            const auto j = static_cast<size_t>(
-                                rec.i64(0, static_cast<int>(i)));
-                            if (!seen[j]) {
-                                seen[j] = 1;
-                                touched.push_back(
-                                    static_cast<Index>(j));
-                            }
-                            acc[j] += aVal *
-                                      rec.f64(1, static_cast<int>(i));
-                        }
-                    } else if (rec.callbackId == workloads::kCbFlush) {
-                        std::sort(touched.begin(), touched.end());
-                        for (const Index j : touched) {
-                            fi.push_back(j);
-                            fv.push_back(acc[static_cast<size_t>(j)]);
-                            acc[static_cast<size_t>(j)] = 0.0;
-                            seen[static_cast<size_t>(j)] = 0;
-                        }
-                        frn.push_back(
-                            static_cast<Index>(touched.size()));
-                        touched.clear();
-                    }
-                });
-            CsrMatrix fz;
-            std::string ferr = rebuildCsr("spmspm-tmu-p2", rows,
-                                          bT.cols(), frn, fi, fv, fz);
-            if (!ferr.empty())
-                fail(std::move(ferr));
-            else
-                fail(diffCsr("spmspm-tmu-p2", want, fz, tol));
-        }
-
-        // Plan-IR legs (reference, trace, program).
-        {
-            plan::PlanSpec ps =
-                plan::spmspmPlan(mcsr, bT, cfg.lanes, 0, rows);
-            ps.validate();
+        plan::frontend::EinsumBindings fb;
+        fb.csr["A"] = &mcsr;
+        fb.csr["B"] = &bT;
+        plan::PlanSpec ps;
+        std::string err = compile("spmspm", workloads::SpmspmWorkload::kEinsum,
+                                  fb, cfg.lanes, ps);
+        if (!err.empty()) {
+            fail(std::move(err));
+        } else {
             const plan::ReferenceResult pr = plan::lowerReference(ps);
-            CsrMatrix prz;
-            std::string perr =
-                rebuildCsr("spmspm-plan-ref", rows, bT.cols(),
-                           pr.rowNnz, pr.idxs, pr.vals, prz);
-            if (!perr.empty())
-                fail(std::move(perr));
-            else
-                fail(diffCsr("spmspm-plan-ref", want, prz, tol));
+            CsrMatrix got;
+            err = rebuildCsr("spmspm-plan-ref", rows, bT.cols(), pr.rowNnz,
+                             pr.idxs, pr.vals, got);
+            fail(err.empty() ? diffCsr("spmspm-plan-ref", want, got, tol)
+                             : std::move(err));
 
-            std::vector<Index> pi, prn;
-            std::vector<Value> pv;
-            const auto planOps = collectOps(plan::lowerTrace(
-                ps, {&pi, &pv, &prn, nullptr}, simd));
-            std::vector<Index> li, lrn;
-            std::vector<Value> lv;
-            const auto legacyOps = collectOps(kernels::traceSpmspm(
-                mcsr, bT, li, lv, lrn, 0, rows, simd));
-            fail(diffOps("spmspm-plan-trace-ops", legacyOps, planOps));
-            if (pi != li || pv != lv || prn != lrn)
-                fail("spmspm-plan-trace: collector outputs differ");
+            std::vector<Index> oi, orn;
+            std::vector<Value> ov;
+            drainTrace(plan::lowerTrace(ps, {&oi, &ov, &orn, nullptr},
+                                        simd));
+            err = rebuildCsr("spmspm-trace", rows, bT.cols(), orn, oi, ov,
+                             got);
+            fail(err.empty() ? diffCsr("spmspm-trace", want, got, tol)
+                             : std::move(err));
 
-            fail(diffRecordsMapped(
-                "spmspm-plan-records",
-                engine::interpretToVector(workloads::buildSpmspmP2(
-                    mcsr, bT, cfg.lanes, 0, rows)),
-                engine::interpretToVector(plan::lowerProgram(ps))));
+            // TMU P2 leg: seen-bitmap novelty tracking, one workspace
+            // flush per row (see kernels/spmspm.cpp).
+            plan::PlanState st;
+            err = runPlanOnEngine("spmspm-tmu-p2", ps, st);
+            if (err.empty()) {
+                err = rebuildCsr("spmspm-tmu-p2", rows, bT.cols(),
+                                 st.rowNnz, st.idxs, st.vals, got);
+            }
+            fail(err.empty() ? diffCsr("spmspm-tmu-p2", want, got, tol)
+                             : std::move(err));
         }
     }
 
@@ -921,82 +762,67 @@ checkMatrix(const CooTensor &coo, const OracleConfig &cfg, Mutation mut)
                        kernels::spmspvRef(mcsr, sb), tol));
     }
 
-    // --- TriangleCount (square inputs): ref vs trace vs brute force.
-    if (cfg.heavy && rows == cols && rows <= 64) {
+    // --- TriangleCount (square inputs): reference vs the compiled
+    // plan's reference, trace and TMU counts vs brute force.
+    if (rows == cols && rows <= 64) {
         const CsrMatrix sym =
             kernels::spaddRef(mcsr, tensor::transposeCsr(mcsr));
         const CsrMatrix lower = tensor::lowerTriangle(sym);
         const std::uint64_t want = kernels::tricountRef(lower);
-        std::uint64_t traced = 0;
-        drainTrace(kernels::traceTricount(lower, traced, 0,
-                                          lower.rows(), simd));
-        if (traced != want) {
-            fail(detail::format("tricount-trace: %llu vs %llu",
-                                static_cast<unsigned long long>(traced),
-                                static_cast<unsigned long long>(want)));
-        }
-        // Brute force over the *structural* adjacency (explicit zeros
-        // are still edges).
-        std::vector<char> adj(static_cast<size_t>(rows * rows), 0);
-        for (Index r = 0; r < rows; ++r) {
-            for (Index p = sym.rowBegin(r); p < sym.rowEnd(r); ++p) {
-                const Index c = sym.idxs()[static_cast<size_t>(p)];
-                if (c != r) {
-                    adj[static_cast<size_t>(r * rows + c)] = 1;
-                    adj[static_cast<size_t>(c * rows + r)] = 1;
-                }
-            }
-        }
-        std::uint64_t brute = 0;
-        for (Index i = 0; i < rows; ++i) {
-            for (Index j = i + 1; j < rows; ++j) {
-                if (!adj[static_cast<size_t>(i * rows + j)])
-                    continue;
-                for (Index k = j + 1; k < rows; ++k) {
-                    brute += adj[static_cast<size_t>(i * rows + k)] &&
-                             adj[static_cast<size_t>(j * rows + k)];
-                }
-            }
-        }
-        if (brute != want) {
-            fail(detail::format("tricount-brute: %llu vs %llu",
-                                static_cast<unsigned long long>(brute),
-                                static_cast<unsigned long long>(want)));
-        }
-
-        // Plan-IR legs (reference, trace, program).
-        {
-            plan::PlanSpec ps =
-                plan::tricountPlan(lower, 0, lower.rows());
-            ps.validate();
-            const plan::ReferenceResult pr = plan::lowerReference(ps);
-            if (pr.count != want) {
-                fail(detail::format(
-                    "tricount-plan-ref: %llu vs %llu",
-                    static_cast<unsigned long long>(pr.count),
-                    static_cast<unsigned long long>(want)));
-            }
-            std::uint64_t planCount = 0;
+        auto diffCount = [want](const char *what, std::uint64_t got) {
+            if (got == want)
+                return std::string();
+            return detail::format("%s: %llu vs %llu", what,
+                                  static_cast<unsigned long long>(got),
+                                  static_cast<unsigned long long>(want));
+        };
+        plan::frontend::EinsumBindings fb;
+        fb.csr["L"] = &lower;
+        plan::PlanSpec ps;
+        std::string err =
+            compile("tricount", workloads::TricountWorkload::kEinsum, fb,
+                    cfg.lanes, ps);
+        if (!err.empty()) {
+            fail(std::move(err));
+        } else {
+            fail(diffCount("tricount-plan-ref",
+                           plan::lowerReference(ps).count));
+            std::uint64_t traced = 0;
             plan::TraceSinks io;
-            io.count = &planCount;
-            const auto planOps =
-                collectOps(plan::lowerTrace(ps, io, simd));
-            std::uint64_t legacyCount = 0;
-            const auto legacyOps = collectOps(kernels::traceTricount(
-                lower, legacyCount, 0, lower.rows(), simd));
-            fail(diffOps("tricount-plan-trace-ops", legacyOps,
-                         planOps));
-            if (planCount != legacyCount) {
-                fail(detail::format(
-                    "tricount-plan-trace: %llu vs %llu",
-                    static_cast<unsigned long long>(planCount),
-                    static_cast<unsigned long long>(legacyCount)));
+            io.count = &traced;
+            drainTrace(plan::lowerTrace(ps, io, simd));
+            fail(diffCount("tricount-trace", traced));
+            plan::PlanState st;
+            err = runPlanOnEngine("tricount-tmu", ps, st);
+            fail(err.empty() ? diffCount("tricount-tmu", st.count)
+                             : std::move(err));
+        }
+        if (cfg.heavy) {
+            // Brute force over the *structural* adjacency (explicit
+            // zeros are still edges).
+            std::vector<char> adj(static_cast<size_t>(rows * rows), 0);
+            for (Index r = 0; r < rows; ++r) {
+                for (Index p = sym.rowBegin(r); p < sym.rowEnd(r); ++p) {
+                    const Index c = sym.idxs()[static_cast<size_t>(p)];
+                    if (c != r) {
+                        adj[static_cast<size_t>(r * rows + c)] = 1;
+                        adj[static_cast<size_t>(c * rows + r)] = 1;
+                    }
+                }
             }
-            fail(diffRecordsMapped(
-                "tricount-plan-records",
-                engine::interpretToVector(
-                    workloads::buildTricount(lower, 0, lower.rows())),
-                engine::interpretToVector(plan::lowerProgram(ps))));
+            std::uint64_t brute = 0;
+            for (Index i = 0; i < rows; ++i) {
+                for (Index j = i + 1; j < rows; ++j) {
+                    if (!adj[static_cast<size_t>(i * rows + j)])
+                        continue;
+                    for (Index k = j + 1; k < rows; ++k) {
+                        brute +=
+                            adj[static_cast<size_t>(i * rows + k)] &&
+                            adj[static_cast<size_t>(j * rows + k)];
+                    }
+                }
+            }
+            fail(diffCount("tricount-brute", brute));
         }
     }
 
@@ -1140,10 +966,6 @@ checkTensor3(const CooTensor &coo, const OracleConfig &cfg, Mutation mut)
                 cf(i, j) = rng.nextValue(-1.0, 1.0);
         }
         const DenseMatrix zr = kernels::mttkrpRef(coo, bf, cf, 0);
-        DenseMatrix zt(d0, rk);
-        drainTrace(kernels::traceMttkrp(coo, bf, cf, zt, 0, coo.nnz(),
-                                        simd));
-        fail(diffDense("mttkrp-trace", zr, zt, tol));
 
         // Swapping modes 1 and 2 (and B with C) leaves mode-0 MTTKRP
         // unchanged up to summation order.
@@ -1157,78 +979,31 @@ checkTensor3(const CooTensor &coo, const OracleConfig &cfg, Mutation mut)
                        kernels::mttkrpRef(sw, cf, bf, 0), tol));
 
         if (coo.nnz() > 0) {
-            DenseMatrix zf(d0, rk);
-            std::vector<Value> laneV;
-            std::vector<Addr> laneZ;
-            Index j = 0;
-            engine::interpret(
-                workloads::buildMttkrpP1(coo, bf, cf, zf, cfg.lanes, 0,
-                                         coo.nnz()),
-                [&](const OutqRecord &rec) {
-                    if (rec.callbackId == workloads::kCbNnz) {
-                        const auto n = rec.operands[0].size();
-                        laneV.assign(n, 0.0);
-                        laneZ.assign(n, 0);
-                        for (size_t i = 0; i < n; ++i) {
-                            laneV[i] = rec.f64(0, static_cast<int>(i));
-                            laneZ[i] =
-                                static_cast<Addr>(rec.operands[1][i]);
-                        }
-                        j = 0;
-                    } else if (rec.callbackId == workloads::kCbJ) {
-                        for (size_t i = 0; i < rec.operands[0].size();
-                             ++i) {
-                            auto *zrow = static_cast<Value *>(
-                                sim::hostPtr(laneZ[i]));
-                            zrow[j] +=
-                                laneV[i] *
-                                rec.f64(0, static_cast<int>(i)) *
-                                rec.f64(1, static_cast<int>(i));
-                        }
-                        ++j;
-                    }
-                });
-            fail(diffDense("mttkrp-tmu-p1", zr, zf, tol));
-        }
-
-        // Plan-IR legs: reference and trace (shared by both variants)
-        // plus record streams for the P1 and P2 programs. The plan and
-        // the legacy builder bind the *same* output matrix so the
-        // Ldr-stream addresses inside the records line up.
-        if (coo.nnz() > 0) {
-            DenseMatrix zp(d0, rk);
-            plan::PlanSpec p1 =
-                plan::mttkrpPlan(coo, bf, cf, zp, cfg.lanes, 0,
-                                 coo.nnz(), plan::Variant::P1);
-            p1.validate();
-            plan::lowerReference(p1); // accumulates into zp
-            fail(diffDense("mttkrp-plan-ref", zr, zp, tol));
-
-            for (Index i = 0; i < d0; ++i)
-                for (Index j = 0; j < rk; ++j)
-                    zp(i, j) = 0.0;
-            const auto planOps =
-                collectOps(plan::lowerTrace(p1, {}, simd));
-            fail(diffDense("mttkrp-plan-trace", zr, zp, tol));
-            DenseMatrix zl(d0, rk);
-            const auto legacyOps = collectOps(kernels::traceMttkrp(
-                coo, bf, cf, zl, 0, coo.nnz(), simd));
-            fail(diffOps("mttkrp-plan-trace-ops", legacyOps, planOps));
-
-            fail(diffRecordsMapped(
-                "mttkrp-plan-records-p1",
-                engine::interpretToVector(workloads::buildMttkrpP1(
-                    coo, bf, cf, zp, cfg.lanes, 0, coo.nnz())),
-                engine::interpretToVector(plan::lowerProgram(p1))));
-            plan::PlanSpec p2 =
-                plan::mttkrpPlan(coo, bf, cf, zp, cfg.lanes, 0,
-                                 coo.nnz(), plan::Variant::P2);
-            p2.validate();
-            fail(diffRecordsMapped(
-                "mttkrp-plan-records-p2",
-                engine::interpretToVector(workloads::buildMttkrpP2(
-                    coo, bf, cf, zp, cfg.lanes, 0, coo.nnz())),
-                engine::interpretToVector(plan::lowerProgram(p2))));
+            DenseMatrix z(d0, rk);
+            plan::frontend::EinsumBindings fb;
+            fb.coo["A"] = &coo;
+            fb.mat["B"] = &bf;
+            fb.mat["C"] = &cf;
+            fb.outMat = &z;
+            plan::PlanSpec ps;
+            std::string err =
+                compile("mttkrp", workloads::MttkrpWorkload::kEinsum, fb,
+                        cfg.lanes, ps);
+            if (!err.empty()) {
+                fail(std::move(err));
+            } else {
+                // Every leg accumulates into the bound z.
+                plan::lowerReference(ps);
+                fail(diffDense("mttkrp-plan-ref", zr, z, tol));
+                z.fill(0.0);
+                drainTrace(plan::lowerTrace(ps, {}, simd));
+                fail(diffDense("mttkrp-trace", zr, z, tol));
+                z.fill(0.0);
+                plan::PlanState st;
+                err = runPlanOnEngine("mttkrp-tmu-p1", ps, st);
+                fail(err.empty() ? diffDense("mttkrp-tmu-p1", zr, z, tol)
+                                 : std::move(err));
+            }
         }
     }
 

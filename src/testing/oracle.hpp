@@ -5,11 +5,12 @@
  * Each check* entry point takes a canonical COO tensor and runs the
  * same computation along independent implementations — format
  * round-trips (COO <-> CSR <-> DCSR <-> CSF <-> dense <-> .mtx/.tns),
- * reference kernels, the traced SVE baselines (whose coroutines compute
- * results as they are drained), the functional TMU interpreter over the
- * Table-4 programs, and, optionally, the cycle-level engine — then
- * cross-compares every pair that must agree. Any divergence is a bug
- * in one of the legs.
+ * the *Ref reference kernels, and the plans compiled from the
+ * workloads' einsums through all three lowerings: the reference
+ * evaluator, the traced SVE baseline (whose coroutine computes results
+ * as it is drained) and the TMU program, run on a cycle-level engine
+ * through the production callback handlers — then cross-compares every
+ * pair that must agree. Any divergence is a bug in one of the legs.
  *
  * The Mutation parameter supports the harness self-check: the mutation
  * is applied to the copy of the input that the *derived* legs consume
@@ -63,8 +64,9 @@ struct OracleConfig
     std::uint64_t operandSeed = 0x0badcafe;
     /**
      * Enable the O(dim^3)-ish legs (dense comparators, brute-force
-     * triangle count, cycle-level engine): still bounded, but worth
-     * skipping for large corpus replays.
+     * triangle count, engine-vs-interpreter record streams): still
+     * bounded, but worth skipping for large corpus replays. The TMU
+     * value legs run either way.
      */
     bool heavy = true;
 };

@@ -254,8 +254,8 @@ class TmuProgram
      * Table-4 style digest: the sets of traversal primitives, data
      * streams and group modes the program instantiates, plus callback
      * event counts ("traversals | streams | groups | callbacks").
-     * Callback-id *values* deliberately do not appear, so legacy and
-     * plan-scoped id assignments summarize identically.
+     * Callback-id *values* deliberately do not appear, so hand-built
+     * and plan-scoped id assignments summarize identically.
      */
     std::string summary() const;
 

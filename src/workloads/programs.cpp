@@ -13,361 +13,11 @@ using engine::StreamRef;
 using engine::TmuProgram;
 using engine::TuRef;
 using engine::kMskOperand;
-using tensor::CooTensor;
 using tensor::CsfTensor;
 using tensor::CsrMatrix;
-using tensor::DcsrMatrix;
 using tensor::DenseMatrix;
 using tensor::DenseVector;
 using tensor::SparseVector;
-
-TmuProgram
-buildSpmvP1(const CsrMatrix &a, const DenseVector &b, int lanes,
-            Index rowBeg, Index rowEnd)
-{
-    TmuProgram p;
-    const int l0 = p.addLayer(GroupMode::BCast);
-    const int l1 = p.addLayer(GroupMode::LockStep);
-
-    const TuRef rows = p.dnsFbrT(l0, 0, rowBeg, rowEnd);
-    const StreamRef ptrB = p.addMemStream(rows, a.ptrs().data(),
-                                          ElemType::I64, {}, "row_ptbs");
-    const StreamRef ptrE = p.addMemStream(rows, a.ptrs().data() + 1,
-                                          ElemType::I64, {}, "row_ptes");
-    p.setExpectedFiberLen(rows, std::max<Index>(1, rowEnd - rowBeg));
-
-    std::vector<StreamRef> nnzVals, vecVals;
-    for (int r = 0; r < lanes; ++r) {
-        const TuRef cols = p.rngFbrT(l1, r, ptrB, ptrE, r, lanes);
-        const StreamRef colIdxs = p.addMemStream(
-            cols, a.idxs().data(), ElemType::I64, {}, "col_idxs");
-        nnzVals.push_back(p.addMemStream(cols, a.vals().data(),
-                                         ElemType::F64, {}, "nnz_vals"));
-        vecVals.push_back(p.addMemStream(cols, b.data(), ElemType::F64,
-                                         colIdxs, "vec_vals"));
-        p.setExpectedFiberLen(
-            cols, std::max<Index>(2, a.nnz() / std::max<Index>(
-                                              1, a.rows() * lanes)));
-    }
-    const int nnzOp = p.addVecStream(l1, nnzVals, ElemType::F64, "nnz");
-    const int vecOp = p.addVecStream(l1, vecVals, ElemType::F64, "vec");
-    p.addCallback(l1, CallbackEvent::GroupIte, kCbRi, {nnzOp, vecOp});
-    p.addCallback(l1, CallbackEvent::GroupEnd, kCbRe, {});
-    return p;
-}
-
-TmuProgram
-buildSpmvP0(const CsrMatrix &a, const DenseVector &b, int lanes,
-            Index rowBeg, Index rowEnd)
-{
-    TmuProgram p;
-    const int l0 = p.addLayer(GroupMode::LockStep);
-    const int l1 = p.addLayer(GroupMode::LockStep);
-
-    std::vector<StreamRef> nnzVals, vecVals, rowIdx;
-    for (int r = 0; r < lanes; ++r) {
-        // Lane r owns rows rowBeg+r, rowBeg+r+lanes, ...
-        const TuRef rows =
-            p.dnsFbrT(l0, r, rowBeg + r, rowEnd, lanes);
-        const StreamRef ptrB = p.addMemStream(
-            rows, a.ptrs().data(), ElemType::I64, {}, "row_ptbs");
-        const StreamRef ptrE = p.addMemStream(
-            rows, a.ptrs().data() + 1, ElemType::I64, {}, "row_ptes");
-        rowIdx.push_back(p.iteStream(rows));
-
-        const TuRef cols = p.rngFbrT(l1, r, ptrB, ptrE);
-        const StreamRef colIdxs = p.addMemStream(
-            cols, a.idxs().data(), ElemType::I64, {}, "col_idxs");
-        nnzVals.push_back(p.addMemStream(cols, a.vals().data(),
-                                         ElemType::F64, {}, "nnz_vals"));
-        vecVals.push_back(p.addMemStream(cols, b.data(), ElemType::F64,
-                                         colIdxs, "vec_vals"));
-    }
-    const int rowOp = p.addVecStream(l0, rowIdx, ElemType::I64, "rows");
-    const int nnzOp = p.addVecStream(l1, nnzVals, ElemType::F64, "nnz");
-    const int vecOp = p.addVecStream(l1, vecVals, ElemType::F64, "vec");
-    p.addCallback(l0, CallbackEvent::GroupIte, kCbRow,
-                  {rowOp, kMskOperand});
-    p.addCallback(l1, CallbackEvent::GroupIte, kCbRi,
-                  {nnzOp, vecOp, kMskOperand});
-    p.addCallback(l1, CallbackEvent::GroupEnd, kCbRe, {kMskOperand});
-    return p;
-}
-
-TmuProgram
-buildSpmspmP2(const CsrMatrix &a, const CsrMatrix &b, int lanes,
-              Index rowBeg, Index rowEnd)
-{
-    TmuProgram p;
-    const int l0 = p.addLayer(GroupMode::Single);
-    const int l1 = p.addLayer(GroupMode::BCast);
-    const int l2 = p.addLayer(GroupMode::LockStep);
-
-    // i loop over A rows.
-    const TuRef rows = p.dnsFbrT(l0, 0, rowBeg, rowEnd);
-    const StreamRef aPtrB = p.addMemStream(rows, a.ptrs().data(),
-                                           ElemType::I64, {}, "a_ptbs");
-    const StreamRef aPtrE = p.addMemStream(
-        rows, a.ptrs().data() + 1, ElemType::I64, {}, "a_ptes");
-    p.setExpectedFiberLen(rows, std::max<Index>(1, rowEnd - rowBeg));
-
-    // k loop over A row i; chained lookup of B's row pointers.
-    const TuRef ks = p.rngFbrT(l1, 0, aPtrB, aPtrE);
-    const StreamRef kIdxs =
-        p.addMemStream(ks, a.idxs().data(), ElemType::I64, {}, "a_idxs");
-    const StreamRef aVals =
-        p.addMemStream(ks, a.vals().data(), ElemType::F64, {}, "a_vals");
-    const StreamRef bPtrB = p.addMemStream(ks, b.ptrs().data(),
-                                           ElemType::I64, kIdxs,
-                                           "b_ptbs");
-    const StreamRef bPtrE = p.addMemStream(ks, b.ptrs().data() + 1,
-                                           ElemType::I64, kIdxs,
-                                           "b_ptes");
-    p.setExpectedFiberLen(ks, std::max<Index>(2, a.nnzPerRow()));
-
-    // j loop over B row k, vectorized across lanes.
-    std::vector<StreamRef> jIdxs, bVals;
-    for (int r = 0; r < lanes; ++r) {
-        const TuRef js = p.rngFbrT(l2, r, bPtrB, bPtrE, r, lanes);
-        jIdxs.push_back(p.addMemStream(js, b.idxs().data(),
-                                       ElemType::I64, {}, "b_idxs"));
-        bVals.push_back(p.addMemStream(js, b.vals().data(),
-                                       ElemType::F64, {}, "b_vals"));
-        p.setExpectedFiberLen(
-            js, std::max<Index>(2, b.nnzPerRow() / lanes));
-    }
-    const int aValOp =
-        p.addVecStream(l1, {aVals}, ElemType::F64, "a_val");
-    const int jOp = p.addVecStream(l2, jIdxs, ElemType::I64, "j");
-    const int bValOp = p.addVecStream(l2, bVals, ElemType::F64, "b_val");
-
-    p.addCallback(l1, CallbackEvent::GroupIte, kCbSetA, {aValOp});
-    p.addCallback(l1, CallbackEvent::GroupEnd, kCbFlush, {});
-    p.addCallback(l2, CallbackEvent::GroupIte, kCbAcc, {jOp, bValOp});
-    return p;
-}
-
-TmuProgram
-buildSpkadd(const std::vector<DcsrMatrix> &in, Index rowBeg,
-            Index rowEnd)
-{
-    TMU_ASSERT(!in.empty() && in.size() >= 2);
-    TmuProgram p;
-    const int l0 = p.addLayer(GroupMode::DisjMrg);
-    const int l1 = p.addLayer(GroupMode::DisjMrg);
-
-    std::vector<StreamRef> rowKeys, colKeys, vals;
-    for (int m = 0; m < static_cast<int>(in.size()); ++m) {
-        const DcsrMatrix &mat = in[static_cast<size_t>(m)];
-        // Stored-row span of this input inside [rowBeg, rowEnd).
-        const auto beg = std::lower_bound(mat.rowIdxs().begin(),
-                                          mat.rowIdxs().end(), rowBeg) -
-                         mat.rowIdxs().begin();
-        const auto end = std::lower_bound(mat.rowIdxs().begin(),
-                                          mat.rowIdxs().end(), rowEnd) -
-                         mat.rowIdxs().begin();
-
-        const TuRef rows = p.dnsFbrT(l0, m, static_cast<Index>(beg),
-                                     static_cast<Index>(end));
-        const StreamRef rowIdx = p.addMemStream(
-            rows, mat.rowIdxs().data(), ElemType::I64, {}, "row_idxs");
-        const StreamRef ptrB = p.addMemStream(
-            rows, mat.rowPtrs().data(), ElemType::I64, {}, "row_ptbs");
-        const StreamRef ptrE = p.addMemStream(rows,
-                                              mat.rowPtrs().data() + 1,
-                                              ElemType::I64, {},
-                                              "row_ptes");
-        p.setMergeKey(rows, rowIdx);
-        p.setExpectedFiberLen(
-            rows, std::max<Index>(1, static_cast<Index>(end - beg)));
-        rowKeys.push_back(rowIdx);
-
-        const TuRef cols = p.rngFbrT(l1, m, ptrB, ptrE);
-        const StreamRef colIdx = p.addMemStream(
-            cols, mat.colIdxs().data(), ElemType::I64, {}, "col_idxs");
-        vals.push_back(p.addMemStream(cols, mat.vals().data(),
-                                      ElemType::F64, {}, "vals"));
-        p.setMergeKey(cols, colIdx);
-        colKeys.push_back(colIdx);
-        p.setExpectedFiberLen(
-            cols,
-            std::max<Index>(2, mat.nnz() / std::max<Index>(
-                                               1, mat.numStoredRows())));
-    }
-    const int rowOp = p.addVecStream(l0, rowKeys, ElemType::I64, "row");
-    const int colOp = p.addVecStream(l1, colKeys, ElemType::I64, "col");
-    const int valOp = p.addVecStream(l1, vals, ElemType::F64, "val");
-
-    p.addCallback(l0, CallbackEvent::GroupIte, kCbRow, {rowOp});
-    p.addCallback(l1, CallbackEvent::GroupIte, kCbCol,
-                  {colOp, valOp, kMskOperand});
-    p.addCallback(l1, CallbackEvent::GroupEnd, kCbRowEnd, {});
-    return p;
-}
-
-TmuProgram
-buildTricount(const CsrMatrix &l, Index rowBeg, Index rowEnd)
-{
-    TmuProgram p;
-    const int l0 = p.addLayer(GroupMode::Single);
-    const int l1 = p.addLayer(GroupMode::BCast);
-    const int l2 = p.addLayer(GroupMode::ConjMrg);
-
-    // i loop over rows of the lower triangle.
-    const TuRef rows = p.dnsFbrT(l0, 0, rowBeg, rowEnd);
-    const StreamRef iPtrB = p.addMemStream(rows, l.ptrs().data(),
-                                           ElemType::I64, {}, "l_ptbs");
-    const StreamRef iPtrE = p.addMemStream(
-        rows, l.ptrs().data() + 1, ElemType::I64, {}, "l_ptes");
-    p.setExpectedFiberLen(rows, std::max<Index>(1, rowEnd - rowBeg));
-
-    // k loop over row i's neighbours; forward row i's bounds rightward
-    // and chase row k's bounds.
-    const TuRef ks = p.rngFbrT(l1, 0, iPtrB, iPtrE);
-    const StreamRef kIdxs =
-        p.addMemStream(ks, l.idxs().data(), ElemType::I64, {}, "l_idxs");
-    const StreamRef kPtrB = p.addMemStream(ks, l.ptrs().data(),
-                                           ElemType::I64, kIdxs,
-                                           "k_ptbs");
-    const StreamRef kPtrE = p.addMemStream(ks, l.ptrs().data() + 1,
-                                           ElemType::I64, kIdxs,
-                                           "k_ptes");
-    const StreamRef fwdIPtrB = p.addFwdStream(ks, iPtrB, "fwd_ptbs");
-    const StreamRef fwdIPtrE = p.addFwdStream(ks, iPtrE, "fwd_ptes");
-    p.setExpectedFiberLen(ks, std::max<Index>(2, l.nnzPerRow()));
-
-    // Conjunctive merge of row i (lane 0) and row k (lane 1).
-    const TuRef rowI = p.rngFbrT(l2, 0, fwdIPtrB, fwdIPtrE);
-    const StreamRef keyI =
-        p.addMemStream(rowI, l.idxs().data(), ElemType::I64, {}, "n_i");
-    p.setMergeKey(rowI, keyI);
-    const TuRef rowK = p.rngFbrT(l2, 1, kPtrB, kPtrE);
-    const StreamRef keyK =
-        p.addMemStream(rowK, l.idxs().data(), ElemType::I64, {}, "n_k");
-    p.setMergeKey(rowK, keyK);
-    p.setExpectedFiberLen(rowI, std::max<Index>(2, l.nnzPerRow()));
-    p.setExpectedFiberLen(rowK, std::max<Index>(2, l.nnzPerRow()));
-
-    p.addCallback(l2, CallbackEvent::GroupIte, kCbHit, {});
-    return p;
-}
-
-namespace {
-
-/** Shared L0 for the MTTKRP variants: per-lane COO nonzero streams. */
-struct MttkrpLaneStreams
-{
-    StreamRef v;       //!< nonzero value
-    StreamRef rowB;    //!< k * rank
-    StreamRef negRowB; //!< -k * rank
-    StreamRef deltaCB; //!< (l - k) * rank
-    StreamRef zAddr;   //!< &z[i * rank]
-};
-
-MttkrpLaneStreams
-addMttkrpNnzStreams(TmuProgram &p, TuRef nnz, const CooTensor &t,
-                    const DenseMatrix &z, Index rank)
-{
-    MttkrpLaneStreams s;
-    const StreamRef iIdx = p.addMemStream(nnz, t.idxs(0).data(),
-                                          ElemType::I64, {}, "i");
-    const StreamRef kIdx = p.addMemStream(nnz, t.idxs(1).data(),
-                                          ElemType::I64, {}, "k");
-    const StreamRef lIdx = p.addMemStream(nnz, t.idxs(2).data(),
-                                          ElemType::I64, {}, "l");
-    s.v = p.addMemStream(nnz, t.vals().data(), ElemType::F64, {}, "v");
-    s.rowB = p.addLinStream(nnz, static_cast<double>(rank), 0.0, kIdx,
-                            "rowB");
-    s.negRowB = p.addLinStream(nnz, -static_cast<double>(rank), 0.0,
-                               kIdx, "negRowB");
-    s.deltaCB = p.addLinStream(nnz, static_cast<double>(rank), 0.0,
-                               lIdx, "deltaCB", s.negRowB);
-    const StreamRef rowZ = p.addLinStream(
-        nnz, static_cast<double>(rank), 0.0, iIdx, "rowZ");
-    s.zAddr = p.addLdrStream(nnz, z.data(), rowZ, "zAddr");
-    return s;
-}
-
-} // namespace
-
-TmuProgram
-buildMttkrpP2(const CooTensor &t, const DenseMatrix &b,
-              const DenseMatrix &c, const DenseMatrix &z, int lanes,
-              Index nnzBeg, Index nnzEnd)
-{
-    TMU_ASSERT(t.order() == 3 && b.cols() == c.cols());
-    const Index rank = b.cols();
-    TmuProgram p;
-    const int l0 = p.addLayer(GroupMode::BCast);
-    const int l1 = p.addLayer(GroupMode::LockStep);
-
-    const TuRef nnz = p.dnsFbrT(l0, 0, nnzBeg, nnzEnd);
-    const MttkrpLaneStreams s = addMttkrpNnzStreams(p, nnz, t, z, rank);
-    p.setExpectedFiberLen(nnz, std::max<Index>(1, nnzEnd - nnzBeg));
-
-    std::vector<StreamRef> bVals, cVals, jVals;
-    for (int r = 0; r < lanes; ++r) {
-        const TuRef js = p.idxFbrT(l1, r, s.rowB, rank, r, lanes);
-        const StreamRef fwdDelta = p.addFwdStream(js, s.deltaCB, "dCB");
-        const StreamRef fwdNegB = p.addFwdStream(js, s.negRowB, "nB");
-        bVals.push_back(
-            p.addMemStream(js, b.data(), ElemType::F64, {}, "B"));
-        cVals.push_back(p.addMemStream(js, c.data(), ElemType::F64, {},
-                                       "C", fwdDelta));
-        jVals.push_back(p.addLinStream(js, 1.0, 0.0, {}, "j", fwdNegB));
-        p.setExpectedFiberLen(js, std::max<Index>(1, rank / lanes));
-    }
-    const int vOp = p.addVecStream(l0, {s.v}, ElemType::F64, "v");
-    const int zOp = p.addVecStream(l0, {s.zAddr}, ElemType::I64, "z");
-    const int jOp = p.addVecStream(l1, jVals, ElemType::I64, "j");
-    const int bOp = p.addVecStream(l1, bVals, ElemType::F64, "B");
-    const int cOp = p.addVecStream(l1, cVals, ElemType::F64, "C");
-
-    p.addCallback(l0, CallbackEvent::GroupIte, kCbNnz, {vOp, zOp});
-    p.addCallback(l1, CallbackEvent::GroupIte, kCbJ, {jOp, bOp, cOp});
-    return p;
-}
-
-TmuProgram
-buildMttkrpP1(const CooTensor &t, const DenseMatrix &b,
-              const DenseMatrix &c, const DenseMatrix &z, int lanes,
-              Index nnzBeg, Index nnzEnd)
-{
-    TMU_ASSERT(t.order() == 3 && b.cols() == c.cols());
-    const Index rank = b.cols();
-    TmuProgram p;
-    const int l0 = p.addLayer(GroupMode::LockStep);
-    const int l1 = p.addLayer(GroupMode::LockStep);
-
-    std::vector<StreamRef> vs, zs, bVals, cVals;
-    for (int r = 0; r < lanes; ++r) {
-        const TuRef nnz = p.dnsFbrT(l0, r, nnzBeg + r, nnzEnd, lanes);
-        const MttkrpLaneStreams s =
-            addMttkrpNnzStreams(p, nnz, t, z, rank);
-        vs.push_back(s.v);
-        zs.push_back(s.zAddr);
-        p.setExpectedFiberLen(
-            nnz, std::max<Index>(1, (nnzEnd - nnzBeg) / lanes));
-
-        const TuRef js = p.idxFbrT(l1, r, s.rowB, rank);
-        const StreamRef fwdDelta = p.addFwdStream(js, s.deltaCB, "dCB");
-        bVals.push_back(
-            p.addMemStream(js, b.data(), ElemType::F64, {}, "B"));
-        cVals.push_back(p.addMemStream(js, c.data(), ElemType::F64, {},
-                                       "C", fwdDelta));
-        p.setExpectedFiberLen(js, rank);
-    }
-    const int vOp = p.addVecStream(l0, vs, ElemType::F64, "v");
-    const int zOp = p.addVecStream(l0, zs, ElemType::I64, "z");
-    const int bOp = p.addVecStream(l1, bVals, ElemType::F64, "B");
-    const int cOp = p.addVecStream(l1, cVals, ElemType::F64, "C");
-
-    p.addCallback(l0, CallbackEvent::GroupIte, kCbNnz,
-                  {vOp, zOp, kMskOperand});
-    p.addCallback(l1, CallbackEvent::GroupIte, kCbJ,
-                  {bOp, cOp, kMskOperand});
-    return p;
-}
 
 TmuProgram
 buildSptcSymbolic(const CsfTensor &a, const CsfTensor &b, Index rootBeg,

@@ -1,12 +1,13 @@
 /**
  * @file
- * TMU program builders for every Table-4 kernel mapping.
+ * Hand-written TMU program builders for the kernels the einsum
+ * frontend cannot express yet: SpTC's symbolic phase, which the SpTC
+ * workload runs, and six Table-4-only mappings.
  *
  * Each builder returns the dataflow configuration for one core's slice
  * of the computation; the callback ids below are what the host-core
- * handlers (in the wl_*.cpp workload bindings) register against. These
- * builders are also introspected by bench/table4_mapping to regenerate
- * the paper's Table 4.
+ * handlers register against. workloads::Table4 renders these builders
+ * beside the rows it compiles from einsums.
  */
 
 #pragma once
@@ -25,58 +26,16 @@ namespace tmu::workloads {
 
 /** Callback ids shared by programs and handlers. */
 enum Cb : int {
-    kCbRi = 1,   //!< SpMV/PR row-iteration body (Fig. 6)
-    kCbRe,       //!< SpMV/PR row-end store (Fig. 6)
-    kCbSetA,     //!< SpMSpM: latch the current A value
-    kCbAcc,      //!< SpMSpM: accumulate a B-row chunk
-    kCbFlush,    //!< SpMSpM: row finished, write the workspace out
-    kCbRow,      //!< SpKAdd: merged row coordinate
-    kCbCol,      //!< SpKAdd: merged column group (Fig. 7)
-    kCbRowEnd,   //!< SpKAdd: row finished
-    kCbNnz,      //!< MTTKRP: latch nonzero value / output row
-    kCbJ,        //!< MTTKRP: rank chunk
-    kCbHit,      //!< TriangleCount: intersection hit
+    kCbRi = 1,   //!< row-iteration body: one dot-product chunk
+    kCbRe,       //!< row end: store the reduced row
+    kCbSetA,     //!< latch the current A value
+    kCbAcc,      //!< accumulate a B-row chunk into the workspace
+    kCbFlush,    //!< row finished, write the workspace out
+    kCbRow,      //!< new outer coordinate (output row or fiber)
     kCbRoot,     //!< SpTC: new output row (A root)
     kCbJCoord,   //!< SpTC: candidate output column
     kCbRootEnd,  //!< SpTC: A root finished
 };
-
-/** SpMV P1 (Fig. 8): inner-loop lanes over one CSR row. */
-engine::TmuProgram buildSpmvP1(const tensor::CsrMatrix &a,
-                               const tensor::DenseVector &b, int lanes,
-                               Index rowBeg, Index rowEnd);
-
-/** SpMV P0: outer-loop lanes, one row per lane (Table 4). */
-engine::TmuProgram buildSpmvP0(const tensor::CsrMatrix &a,
-                               const tensor::DenseVector &b, int lanes,
-                               Index rowBeg, Index rowEnd);
-
-/** Gustavson SpMSpM P2: i single, k broadcast, j lanes (Table 4). */
-engine::TmuProgram buildSpmspmP2(const tensor::CsrMatrix &a,
-                                 const tensor::CsrMatrix &b, int lanes,
-                                 Index rowBeg, Index rowEnd);
-
-/** SpKAdd: K DCSR inputs in K lanes, hierarchical disjunctive merge. */
-engine::TmuProgram buildSpkadd(const std::vector<tensor::DcsrMatrix> &in,
-                               Index rowBeg, Index rowEnd);
-
-/** TriangleCount: per edge (i,k), conjunctive merge of rows i and k. */
-engine::TmuProgram buildTricount(const tensor::CsrMatrix &l,
-                                 Index rowBeg, Index rowEnd);
-
-/** MTTKRP P1: mode-level lanes (one nonzero per lane, Table 4). */
-engine::TmuProgram buildMttkrpP1(const tensor::CooTensor &t,
-                                 const tensor::DenseMatrix &b,
-                                 const tensor::DenseMatrix &c,
-                                 const tensor::DenseMatrix &z, int lanes,
-                                 Index nnzBeg, Index nnzEnd);
-
-/** MTTKRP P2: rank-level lanes (one j slice per lane, Table 4). */
-engine::TmuProgram buildMttkrpP2(const tensor::CooTensor &t,
-                                 const tensor::DenseMatrix &b,
-                                 const tensor::DenseMatrix &c,
-                                 const tensor::DenseMatrix &z, int lanes,
-                                 Index nnzBeg, Index nnzEnd);
 
 /** SpTC symbolic: A(i,k,l) against B(l,k,j), merge-based lookup. */
 engine::TmuProgram buildSptcSymbolic(const tensor::CsfTensor &a,

@@ -1,13 +1,18 @@
 #include "table4.hpp"
 
+#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "plan/frontend/frontend.hpp"
 #include "plan/lower.hpp"
-#include "plan/plans.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/generate.hpp"
 #include "tmu/functional.hpp"
 #include "workloads/programs.hpp"
+#include "workloads/wl_einsum.hpp"
+#include "workloads/wl_merge.hpp"
+#include "workloads/wl_spmspm.hpp"
+#include "workloads/wl_spmv.hpp"
+#include "workloads/wl_tensor.hpp"
 
 namespace tmu::workloads {
 
@@ -76,84 +81,117 @@ struct Table4::Data
 Table4::Table4() : data_(new Data)
 {
     Data &d = *data_;
+    using plan::frontend::EinsumBindings;
 
-    // A row from a plan: labels are the spec's own metadata, so the
-    // table is regenerated from the IR rather than hand-kept strings.
-    auto planRow = [&](const plan::PlanSpec &ps) {
+    // A row compiled from its einsum against the pinned operands: the
+    // labels are the compiled spec's own metadata, so the table is
+    // regenerated from the IR rather than hand-kept strings.
+    auto planRow = [&](const char *expr, const EinsumBindings &fb,
+                       plan::Variant variant = plan::Variant::P1) {
+        plan::frontend::CompileOptions fo;
+        fo.lanes = 4;
+        fo.variant = variant;
+        plans_.push_back(
+            plan::frontend::compileEinsum(expr, fb, fo).valueOrFatal());
+        const plan::PlanSpec &ps = plans_.back();
         rows_.push_back(
             {ps.name, ps.einsum, ps.formats, plan::lowerProgram(ps)});
     };
-    auto legacyRow = [&](std::string algorithm, std::string einsum,
-                         std::string formats, engine::TmuProgram p) {
+    auto handRow = [&](std::string algorithm, std::string einsum,
+                       std::string formats, engine::TmuProgram p) {
         rows_.push_back({std::move(algorithm), std::move(einsum),
                          std::move(formats), std::move(p)});
     };
 
-    planRow(plan::spmvPlan(d.a, d.dv, d.x, 4, 0, d.a.rows(),
-                           plan::Variant::P0));
-    planRow(plan::spmvPlan(d.a, d.dv, d.x, 4, 0, d.a.rows(),
-                           plan::Variant::P1));
-    legacyRow("SpMSpV", "Z(i) = A(i,j; csr) * B(j; sparse)", "A,B=CSR",
-              buildSpmspv(d.a, d.sv, 0, d.a.rows()));
-    legacyRow("SpMM P0", "Z(i,j) = A(i,k; csr) * B(k,j; dense)",
-              "A=CSR", buildSpmmP0(d.a, d.dm, 4, 0, d.a.rows()));
-    legacyRow("SpMM P1", "Z(i,j) = A(i,k; csr) * B(k,j; dense)",
-              "A=CSR", buildSpmmP1(d.a, d.dm, 4, 0, d.a.rows()));
-    legacyRow("SpMSpM P0", "Z(i,j; csr) = A(i,k; csr) * B(k,j; csr)",
-              "A,B,Z=CSR", buildSpmspmP0(d.a, d.at, 4, 0, d.a.rows()));
-    planRow(plan::spmspmPlan(d.a, d.at, 4, 0, d.a.rows()));
-    planRow(plan::spkaddPlan(d.parts, 0, d.parts[0].rows()));
-    planRow(plan::pagerankPlan(d.a, d.dv, d.x, 0.85, 4, 0, d.a.rows()));
-    planRow(plan::tricountPlan(d.lower, 0, d.lower.rows()));
-    planRow(plan::mttkrpPlan(d.coo, d.dm, d.dm, d.z, 4, 0, d.coo.nnz(),
-                             plan::Variant::P1));
-    planRow(plan::mttkrpPlan(d.coo, d.dm, d.dm, d.z, 4, 0, d.coo.nnz(),
-                             plan::Variant::P2));
-    legacyRow("SpTC", "Z(i,j) = A(i,k,l; csf) * B(l,k,j; csf)",
-              "A,B=CSF",
-              buildSptcSymbolic(d.csfA, d.csfB, 0, d.csfA.numNodes(0)));
-    legacyRow("SpTTV", "Z(i,j) = A(i,j,k; csf) * B(k; dense)", "A=CSF",
-              buildSpttv(d.csfA, d.dv, 4, 0, d.csfA.numNodes(0)));
-    legacyRow("SpTTM", "Z(i,j,l) = A(i,j,k; csf) * B(k,l; dense)",
-              "A=CSF",
-              buildSpttm(d.csfA, d.dm, 4, 0, d.csfA.numNodes(0)));
-
-    // Einsum-frontend rows: no hand-written builder or plan factory —
-    // the PlanSpec is compiled from the one-line expression against
-    // the pinned operands (appended so earlier rows keep their order).
-    auto einsumRow = [&](const char *expr,
-                         plan::frontend::EinsumBindings &fb) {
-        plan::frontend::CompileOptions fo;
-        fo.lanes = 4;
-        planRow(
-            plan::frontend::compileEinsum(expr, fb, fo).valueOrFatal());
-    };
+    EinsumBindings spmv;
+    spmv.csr["A"] = &d.a;
+    spmv.vec["B"] = &d.dv;
+    spmv.outVec = &d.x;
+    planRow(SpmvWorkload::kEinsum, spmv, plan::Variant::P0);
+    planRow(SpmvWorkload::kEinsum, spmv);
+    handRow("SpMSpV", "Z(i) = A(i,j; csr) * B(j; sparse)", "A,B=CSR",
+            buildSpmspv(d.a, d.sv, 0, d.a.rows()));
+    handRow("SpMM P0", "Z(i,j) = A(i,k; csr) * B(k,j; dense)", "A=CSR",
+            buildSpmmP0(d.a, d.dm, 4, 0, d.a.rows()));
+    handRow("SpMM P1", "Z(i,j) = A(i,k; csr) * B(k,j; dense)", "A=CSR",
+            buildSpmmP1(d.a, d.dm, 4, 0, d.a.rows()));
+    handRow("SpMSpM P0", "Z(i,j; csr) = A(i,k; csr) * B(k,j; csr)",
+            "A,B,Z=CSR", buildSpmspmP0(d.a, d.at, 4, 0, d.a.rows()));
     {
-        plan::frontend::EinsumBindings fb;
+        EinsumBindings fb;
+        fb.csr["A"] = &d.a;
+        fb.csr["B"] = &d.at;
+        planRow(SpmspmWorkload::kEinsum, fb);
+    }
+    {
+        EinsumBindings fb;
+        fb.ensembles["A^k"] = &d.parts;
+        planRow(SpkaddWorkload::kEinsum, fb);
+    }
+    {
+        EinsumBindings fb;
+        fb.csr["A"] = &d.a;
+        fb.vec["X"] = &d.dv;
+        fb.outVec = &d.x;
+        fb.scalars["alpha"] = 0.85;
+        fb.scalars["beta"] =
+            (1.0 - 0.85) / static_cast<double>(d.a.rows());
+        planRow(PagerankWorkload::kEinsum, fb);
+    }
+    {
+        EinsumBindings fb;
+        fb.csr["L"] = &d.lower;
+        planRow(TricountWorkload::kEinsum, fb);
+    }
+    {
+        EinsumBindings fb;
+        fb.coo["A"] = &d.coo;
+        fb.mat["B"] = &d.dm;
+        fb.mat["C"] = &d.dm;
+        fb.outMat = &d.z;
+        planRow(MttkrpWorkload::kEinsum, fb, plan::Variant::P1);
+        planRow(MttkrpWorkload::kEinsum, fb, plan::Variant::P2);
+    }
+    handRow("SpTC", "Z(i,j) = A(i,k,l; csf) * B(l,k,j; csf)", "A,B=CSF",
+            buildSptcSymbolic(d.csfA, d.csfB, 0, d.csfA.numNodes(0)));
+    handRow("SpTTV", "Z(i,j) = A(i,j,k; csf) * B(k; dense)", "A=CSF",
+            buildSpttv(d.csfA, d.dv, 4, 0, d.csfA.numNodes(0)));
+    handRow("SpTTM", "Z(i,j,l) = A(i,j,k; csf) * B(k,l; dense)", "A=CSF",
+            buildSpttm(d.csfA, d.dm, 4, 0, d.csfA.numNodes(0)));
+    {
+        EinsumBindings fb;
         fb.csr["A"] = &d.a;
         fb.mat["B"] = &d.dm;
         fb.mat["C"] = &d.dm;
-        einsumRow("Z(i,j; csr) = A(i,j; csr) * B(i,k; dense) * "
-                  "C(j,k; dense)",
-                  fb);
+        planRow(SddmmWorkload::kEinsum, fb);
     }
     {
-        plan::frontend::EinsumBindings fb;
+        EinsumBindings fb;
         fb.csr["A"] = &d.a;
         fb.mat["B"] = &d.dm;
-        einsumRow("Z(i,j; csr) = A(i,k; csr) * B(k,j; dense)", fb);
+        planRow(SpmmWorkload::kEinsum, fb);
     }
     {
-        plan::frontend::EinsumBindings fb;
+        EinsumBindings fb;
         fb.csr["A"] = &d.a;
         fb.mat["B"] = &d.dm;
         fb.maps["m"] = &d.map;
         fb.outMat = &d.zs;
-        einsumRow("Z(m(i), j) = A(i,k; csr) * B(k,j; dense)", fb);
+        planRow(SpmmScatterWorkload::kEinsum, fb);
     }
 }
 
 Table4::~Table4() = default;
+
+const plan::PlanSpec &
+Table4::planSpec(const std::string &algorithm) const
+{
+    for (const plan::PlanSpec &ps : plans_) {
+        if (ps.name == algorithm)
+            return ps;
+    }
+    TMU_PANIC("Table 4 has no compiled row '%s'", algorithm.c_str());
+}
 
 TextTable
 Table4::table() const

@@ -4,10 +4,10 @@
  * structure: the bench binary renders it and a tier-1 golden test pins
  * it byte-for-byte.
  *
- * Migrated kernels source their rows from the declarative plan IR —
- * the algorithm/einsum/format labels come from plan::PlanSpec metadata
- * and the program from plan::lowerProgram — while the not-yet-migrated
- * kernels keep the hand-written programs.hpp builders.
+ * Rows the einsum frontend can express are compiled from the einsum
+ * their workload runs: the algorithm/einsum/format labels come from the
+ * compiled plan::PlanSpec and the program from plan::lowerProgram. The
+ * other rows come from the hand-written programs.hpp builders.
  */
 
 #pragma once
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "plan/ir.hpp"
 #include "tmu/program.hpp"
 
 namespace tmu::workloads {
@@ -31,8 +32,8 @@ struct Table4Row
 };
 
 /**
- * Builds (and owns the tiny pinned operands of) the fifteen Table-4
- * rows. Construction is deterministic: fixed seeds, fixed shapes, so
+ * Builds (and owns the tiny pinned operands of) the Table-4 rows.
+ * Construction is deterministic: fixed seeds, fixed shapes, so
  * render() is reproducible byte-for-byte across runs and machines.
  */
 class Table4
@@ -45,6 +46,13 @@ class Table4
     Table4 &operator=(const Table4 &) = delete;
 
     const std::vector<Table4Row> &rows() const { return rows_; }
+
+    /**
+     * The compiled spec behind the row named @p algorithm (e.g.
+     * "SpMV P0"); panics if no compiled row has that name. Its
+     * bindings point into this table's operands.
+     */
+    const plan::PlanSpec &planSpec(const std::string &algorithm) const;
 
     /**
      * The rendered table: every program is summarized via
@@ -63,6 +71,7 @@ class Table4
     struct Data; //!< operand storage the programs point into
     std::unique_ptr<Data> data_;
     std::vector<Table4Row> rows_;
+    std::vector<plan::PlanSpec> plans_; //!< the compiled rows' specs
 };
 
 } // namespace tmu::workloads

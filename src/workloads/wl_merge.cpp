@@ -87,8 +87,8 @@ SpaddWorkload::run(const RunConfig &cfg)
     if (cfg.mode == Mode::Tmu)
         return runKAdd(cfg, asDcsr_, ref_);
 
-    // Baseline SpAdd keeps the dedicated two-way merge kernel (the
-    // legacy path): it is not plan-lowered.
+    // Baseline SpAdd runs the dedicated two-way merge kernel
+    // (kernels::traceSpadd): the frontend cannot express it yet.
     RunHarness h(cfg);
     const int cores = h.cores();
     std::vector<plan::PlanState> out(static_cast<size_t>(cores));

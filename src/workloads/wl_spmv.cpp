@@ -32,8 +32,6 @@ runSpmvShaped(const RunConfig &cfg, const tensor::CsrMatrix &a,
             sim::addrOf(a.idxs().data(), 0),
             a.idxs().size() * sizeof(Index));
     }
-    // The plans compile from their einsum; plan/plans.hpp keeps the
-    // hand-authored specs as pinned comparison references.
     plan::frontend::EinsumBindings fb;
     fb.csr["A"] = &a;
     fb.outVec = &x;

@@ -17,11 +17,12 @@
 #include <vector>
 
 #include "common/statreg.hpp"
+#include "plan/frontend/frontend.hpp"
 #include "plan/lower.hpp"
-#include "plan/plans.hpp"
 #include "tensor/convert.hpp"
 #include "testing/shapes.hpp"
 #include "workloads/registry.hpp"
+#include "workloads/wl_spmv.hpp"
 #include "workloads/workload.hpp"
 
 namespace tmu {
@@ -182,9 +183,17 @@ TEST(Attribution, ShapeClassFuzzSumInvariant)
                     workloads::makePartition(workloads::PartitionKind::Rows,
                                              a.rows(), nullptr, kCores)
                         .range(core);
-                ps.push_back(plan::spmvPlan(a, b, x, cfg.programLanes,
-                                            beg, end,
-                                            plan::Variant::P1));
+                plan::frontend::EinsumBindings fb;
+                fb.csr["A"] = &a;
+                fb.vec["B"] = &b;
+                fb.outVec = &x;
+                plan::frontend::CompileOptions fo;
+                fo.lanes = cfg.programLanes;
+                fo.beg = beg;
+                fo.end = end;
+                ps.push_back(plan::frontend::compileEinsum(
+                                 workloads::SpmvWorkload::kEinsum, fb, fo)
+                                 .valueOrFatal());
                 h.addPlan(core, ps.back(), st[static_cast<size_t>(core)]);
             }
             checkSumInvariants(h.finish().stats, kCores, what);

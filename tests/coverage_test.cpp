@@ -12,10 +12,13 @@
 #include "kernels/spadd.hpp"
 #include "kernels/spmspm.hpp"
 #include "kernels/spmv.hpp"
+#include "plan/frontend/frontend.hpp"
+#include "plan/lower.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/generate.hpp"
+#include "tmu/functional.hpp"
 #include "tmu/outq.hpp"
-#include "workloads/programs.hpp"
+#include "workloads/wl_spmv.hpp"
 
 namespace tmu {
 namespace {
@@ -23,6 +26,22 @@ namespace {
 using tensor::CooTensor;
 using tensor::CsrMatrix;
 using tensor::DenseVector;
+
+/** The compiled SpMV P1 plan over all of @p a. */
+plan::PlanSpec
+spmvSpec(const CsrMatrix &a, const DenseVector &b, DenseVector &x,
+         int lanes)
+{
+    plan::frontend::EinsumBindings fb;
+    fb.csr["A"] = &a;
+    fb.vec["B"] = &b;
+    fb.outVec = &x;
+    plan::frontend::CompileOptions fo;
+    fo.lanes = lanes;
+    return plan::frontend::compileEinsum(workloads::SpmvWorkload::kEinsum,
+                                         fb, fo)
+        .valueOrFatal();
+}
 
 // --- Degenerate tensors ------------------------------------------------------
 
@@ -86,7 +105,8 @@ TEST(Degenerate, SpmvTraceOnEmptyMatrix)
     const CsrMatrix a = emptyMatrix(4, 4);
     const DenseVector b(4, 1.0);
     DenseVector x(4, -1.0);
-    auto t = kernels::traceSpmv(a, b, x, 0, 4, sim::SimdConfig{512});
+    auto t = plan::lowerTrace(spmvSpec(a, b, x, 8), {},
+                              sim::SimdConfig{512});
     int ops = 0;
     while (t.next())
         ++ops;
@@ -105,16 +125,19 @@ TEST(Degenerate, TmuSpmvOnEmptyRows)
     const CsrMatrix a = tensor::cooToCsr(coo);
     const DenseVector b(8, 2.0);
 
-    const auto p = workloads::buildSpmvP1(a, b, 4, 0, a.rows());
     Index rows = 0;
     Value sum = 0.0;
     DenseVector x(8, -1.0);
-    engine::interpret(p, [&](const engine::OutqRecord &rec) {
-        if (rec.callbackId == workloads::kCbRi) {
+    const plan::PlanSpec ps = spmvSpec(a, b, x, 4);
+    const int ri = ps.callbackId("ri");
+    const int re = ps.callbackId("re");
+    engine::interpret(plan::lowerProgram(ps),
+                      [&](const engine::OutqRecord &rec) {
+        if (rec.callbackId == ri) {
             for (size_t i = 0; i < rec.operands[0].size(); ++i)
                 sum += rec.f64(0, static_cast<int>(i)) *
                        rec.f64(1, static_cast<int>(i));
-        } else if (rec.callbackId == workloads::kCbRe) {
+        } else if (rec.callbackId == re) {
             x[rows++] = sum;
             sum = 0.0;
         }
@@ -162,7 +185,8 @@ TEST(OutqSource, MissingHandlerPanics)
     coo.sortAndCombine();
     const CsrMatrix a = tensor::cooToCsr(coo);
     const DenseVector b(2, 1.0);
-    const auto p = workloads::buildSpmvP1(a, b, 1, 0, a.rows());
+    DenseVector x(2);
+    const auto p = plan::lowerProgram(spmvSpec(a, b, x, 1));
 
     sim::SystemConfig cfg = sim::SystemConfig::neoverseN1();
     cfg.cores = 1;
@@ -192,7 +216,9 @@ TEST(OutqSource, DoneOnlyAfterAllRecordsConsumed)
     coo.sortAndCombine();
     const CsrMatrix a = tensor::cooToCsr(coo);
     const DenseVector b(4, 1.0);
-    const auto p = workloads::buildSpmvP1(a, b, 2, 0, a.rows());
+    DenseVector x(4);
+    const plan::PlanSpec ps = spmvSpec(a, b, x, 2);
+    const auto p = plan::lowerProgram(ps);
 
     sim::SystemConfig cfg = sim::SystemConfig::neoverseN1();
     cfg.cores = 1;
@@ -200,10 +226,10 @@ TEST(OutqSource, DoneOnlyAfterAllRecordsConsumed)
     engine::TmuEngine eng(0, engine::EngineConfig{}, mem, p);
     engine::OutqSource src(eng);
     int records = 0;
-    src.setHandler(workloads::kCbRi,
+    src.setHandler(ps.callbackId("ri"),
                    [&](const engine::OutqRecord &,
                        std::vector<sim::MicroOp> &) { ++records; });
-    src.setHandler(workloads::kCbRe,
+    src.setHandler(ps.callbackId("re"),
                    [&](const engine::OutqRecord &,
                        std::vector<sim::MicroOp> &) { ++records; });
 

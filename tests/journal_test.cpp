@@ -60,7 +60,6 @@ expectRecordsEqual(const TaskRecord &a, const TaskRecord &b)
     EXPECT_EQ(a.task, b.task);
     EXPECT_EQ(a.input, b.input);
     EXPECT_EQ(a.status, b.status);
-    EXPECT_EQ(a.error, b.error);
     EXPECT_EQ(a.output, b.output);
     EXPECT_EQ(a.verified, b.verified);
     ASSERT_EQ(a.runs.size(), b.runs.size());

@@ -1,9 +1,11 @@
 /**
  * @file
  * Tests for src/kernels: every reference kernel is checked against
- * dense linear algebra on random inputs, and every traced baseline is
- * checked to (a) compute the same result as the reference and (b) emit
- * a sensible micro-op mix.
+ * dense linear algebra on random inputs, and every traced baseline kept
+ * here (SpAdd, SpTC symbolic, the CP-ALS dense phase) is checked to (a)
+ * compute the same result as the reference and (b) emit a sensible
+ * micro-op mix. The baselines compiled from einsums are checked the same
+ * way in plan_test.
  */
 
 #include <gtest/gtest.h>
@@ -129,57 +131,6 @@ TEST(Spmv, MatchesDense)
     }
 }
 
-class SpmvTraceProperty : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(SpmvTraceProperty, TraceComputesReference)
-{
-    const int vecBits = GetParam();
-    const CsrMatrix a = tensor::cooToCsr(randomCoo2(60, 50, 400, 3));
-    const DenseVector b = randomVec(50, 4);
-    const DenseVector want = spmvRef(a, b);
-    DenseVector x(a.rows());
-    const OpMix mix = drain(
-        traceSpmv(a, b, x, 0, a.rows(), SimdConfig{vecBits}));
-    for (Index i = 0; i < a.rows(); ++i)
-        EXPECT_NEAR(x[i], want[i], 1e-12);
-    EXPECT_GT(mix.loads, a.nnz());     // idx + val + gather
-    EXPECT_EQ(mix.stores, a.rows());   // one result store per row
-    EXPECT_GT(mix.branches, 0);
-    EXPECT_GE(mix.flops, static_cast<std::uint64_t>(2 * a.nnz()));
-}
-
-INSTANTIATE_TEST_SUITE_P(VectorWidths, SpmvTraceProperty,
-                         ::testing::Values(128, 256, 512));
-
-TEST(Spmv, PartitionedTraceMatches)
-{
-    const CsrMatrix a = tensor::cooToCsr(randomCoo2(64, 64, 300, 5));
-    const DenseVector b = randomVec(64, 6);
-    const DenseVector want = spmvRef(a, b);
-    DenseVector x(a.rows());
-    // Two disjoint row partitions (as two cores would run it).
-    drain(traceSpmv(a, b, x, 0, 32, SimdConfig{512}));
-    drain(traceSpmv(a, b, x, 32, 64, SimdConfig{512}));
-    for (Index i = 0; i < a.rows(); ++i)
-        EXPECT_NEAR(x[i], want[i], 1e-12);
-}
-
-TEST(Spmv, WiderVectorsFewerOps)
-{
-    const CsrMatrix a = tensor::cooToCsr(randomCoo2(50, 50, 600, 7));
-    const DenseVector b = randomVec(50, 8);
-    DenseVector x1(a.rows()), x2(a.rows());
-    const OpMix narrow =
-        drain(traceSpmv(a, b, x1, 0, a.rows(), SimdConfig{128}));
-    const OpMix wide =
-        drain(traceSpmv(a, b, x2, 0, a.rows(), SimdConfig{512}));
-    EXPECT_GT(narrow.branches, wide.branches);
-    EXPECT_GT(narrow.flopOps, wide.flopOps);
-    EXPECT_EQ(narrow.stores, wide.stores);
-}
-
 // --- SpMSpM ---------------------------------------------------------------
 
 TEST(Spmspm, MatchesDense)
@@ -209,31 +160,6 @@ TEST(Spmspm, SymbolicMatchesNumeric)
     const std::vector<Index> rowNnz = spmspmRowNnz(a, b);
     for (Index i = 0; i < a.rows(); ++i)
         EXPECT_EQ(rowNnz[static_cast<size_t>(i)], z.rowNnz(i));
-}
-
-TEST(Spmspm, TraceComputesReference)
-{
-    const CsrMatrix a = tensor::cooToCsr(randomCoo2(40, 40, 250, 13));
-    const CsrMatrix b = transposeCsr(a);
-    const CsrMatrix want = spmspmRef(a, b);
-
-    std::vector<Index> outIdxs, outRowNnz;
-    std::vector<Value> outVals;
-    const OpMix mix = drain(traceSpmspm(a, b, outIdxs, outVals, outRowNnz,
-                                        0, a.rows(), SimdConfig{512}));
-    ASSERT_EQ(outRowNnz.size(), static_cast<size_t>(a.rows()));
-    ASSERT_EQ(outIdxs.size(), static_cast<size_t>(want.nnz()));
-    size_t q = 0;
-    for (Index i = 0; i < want.rows(); ++i) {
-        ASSERT_EQ(outRowNnz[static_cast<size_t>(i)], want.rowNnz(i));
-        for (Index p = want.rowBegin(i); p < want.rowEnd(i); ++p, ++q) {
-            EXPECT_EQ(outIdxs[q], want.idxs()[static_cast<size_t>(p)]);
-            EXPECT_NEAR(outVals[q], want.vals()[static_cast<size_t>(p)],
-                        1e-12);
-        }
-    }
-    EXPECT_GT(mix.flops, 0u);
-    EXPECT_GT(mix.stores, want.nnz()); // scatter + emit
 }
 
 // --- SpAdd / SpKAdd ---------------------------------------------------------
@@ -297,43 +223,6 @@ TEST(Spkadd, MatchesSumOfParts)
         for (Index j = 0; j < a.cols(); ++j)
             EXPECT_NEAR(zd(i, j), want[j], 1e-12);
     }
-}
-
-TEST(Spkadd, TraceComputesReference)
-{
-    const CsrMatrix a = tensor::cooToCsr(randomCoo2(48, 32, 400, 21));
-    const auto parts = tensor::splitCyclic(a, 8);
-    const CsrMatrix want = spkaddRef(parts);
-    std::vector<Index> outIdxs, outRowNnz;
-    std::vector<Value> outVals;
-    const OpMix mix = drain(traceSpkadd(parts, outIdxs, outVals,
-                                        outRowNnz, 0, want.rows(),
-                                        SimdConfig{512}));
-    ASSERT_EQ(outIdxs.size(), static_cast<size_t>(want.nnz()));
-    size_t q = 0;
-    for (Index i = 0; i < want.rows(); ++i) {
-        ASSERT_EQ(outRowNnz[static_cast<size_t>(i)], want.rowNnz(i));
-        for (Index p = want.rowBegin(i); p < want.rowEnd(i); ++p, ++q) {
-            EXPECT_EQ(outIdxs[q], want.idxs()[static_cast<size_t>(p)]);
-            EXPECT_NEAR(outVals[q], want.vals()[static_cast<size_t>(p)],
-                        1e-12);
-        }
-    }
-    EXPECT_GT(mix.branches, 2 * want.nnz());
-}
-
-TEST(Spkadd, PartitionedTraceMatches)
-{
-    const CsrMatrix a = tensor::cooToCsr(randomCoo2(40, 24, 300, 23));
-    const auto parts = tensor::splitCyclic(a, 4);
-    const CsrMatrix want = spkaddRef(parts);
-    std::vector<Index> i1, i2, n1, n2;
-    std::vector<Value> v1, v2;
-    drain(traceSpkadd(parts, i1, v1, n1, 0, want.rows() / 2,
-                      SimdConfig{512}));
-    drain(traceSpkadd(parts, i2, v2, n2, want.rows() / 2, want.rows(),
-                      SimdConfig{512}));
-    EXPECT_EQ(static_cast<Index>(i1.size() + i2.size()), want.nnz());
 }
 
 // --- SpMSpV / SpMM ----------------------------------------------------------
@@ -424,22 +313,6 @@ TEST_P(MttkrpModeProperty, AllModesMatchDirectSum)
 INSTANTIATE_TEST_SUITE_P(Modes, MttkrpModeProperty,
                          ::testing::Values(0, 1, 2));
 
-TEST(Mttkrp, TraceComputesReference)
-{
-    const CooTensor t = tensor::randomCooTensor({30, 20, 15}, 500, 0.0, 37);
-    const DenseMatrix b = randomDense(20, 16, 38);
-    const DenseMatrix c = randomDense(15, 16, 39);
-    const DenseMatrix want = mttkrpRef(t, b, c, 0);
-    DenseMatrix z(30, 16, 0.0);
-    const OpMix mix =
-        drain(traceMttkrp(t, b, c, z, 0, t.nnz(), SimdConfig{512}));
-    for (Index i = 0; i < 30; ++i) {
-        for (Index j = 0; j < 16; ++j)
-            EXPECT_NEAR(z(i, j), want(i, j), 1e-12);
-    }
-    EXPECT_GE(mix.flops, static_cast<std::uint64_t>(3 * 16 * t.nnz()));
-}
-
 // --- SpTC --------------------------------------------------------------------
 
 TEST(Sptc, SymbolicMatchesBruteForce)
@@ -519,28 +392,6 @@ TEST(Pagerank, MatchesDensePowerIteration)
     EXPECT_LE(total, 1.0 + 1e-9); // dangling RMAT vertices leak mass
 }
 
-TEST(Pagerank, TraceIterMatchesReference)
-{
-    const CsrMatrix g = tensor::rmatGraph(6, 5, 47);
-    PageRankConfig cfg;
-    cfg.iterations = 1;
-    const DenseVector want = pagerankRef(g, cfg);
-
-    const Index n = g.rows();
-    const CsrMatrix gt = tensor::transposeCsr(g);
-    DenseVector contrib(n);
-    for (Index j = 0; j < n; ++j) {
-        const auto outdeg =
-            static_cast<Value>(std::max<Index>(1, gt.rowNnz(j)));
-        contrib[j] = (1.0 / static_cast<double>(n)) / outdeg;
-    }
-    DenseVector next(n);
-    drain(tracePagerankIter(g, contrib, next, cfg.damping, 0, n,
-                            SimdConfig{512}));
-    for (Index i = 0; i < n; ++i)
-        EXPECT_NEAR(next[i], want[i], 1e-12);
-}
-
 // --- TriangleCount -------------------------------------------------------------
 
 TEST(Tricount, CountsKnownGraph)
@@ -577,18 +428,6 @@ TEST(Tricount, MatchesBruteForce)
         }
     }
     EXPECT_EQ(tricountRef(l), want);
-}
-
-TEST(Tricount, TraceMatchesReference)
-{
-    const CsrMatrix g = tensor::rmatGraph(6, 5, 51);
-    const CsrMatrix l = tensor::lowerTriangle(g);
-    const std::uint64_t want = tricountRef(l);
-    std::uint64_t count = 0;
-    const OpMix mix =
-        drain(traceTricount(l, count, 0, l.rows(), SimdConfig{512}));
-    EXPECT_EQ(count, want);
-    EXPECT_GT(mix.branches, mix.stores); // merge-dominated
 }
 
 // --- Small solve / CP-ALS --------------------------------------------------------

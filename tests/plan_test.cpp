@@ -2,432 +2,536 @@
  * @file
  * Plan-IR lowering tests (docs/PLAN_IR.md).
  *
- * For every migrated kernel the declarative plan must lower to the
- * *same artifact* the hand-written implementation produced:
- *   - lowerProgram matches the legacy programs.hpp builder record for
- *     record (callback ids only up to a bijection — plan-scoped ids
- *     replace the shared Cb enum and never enter record size/timing);
- *   - the TmuProgram summary() digest is pinned per kernel (Table 4);
- *   - full simulated runs report byte-identical sim.cycles whether the
- *     program+handlers come from the plan or were written by hand;
- *   - the Table-4 bench output is pinned byte-for-byte against
- *     tests/golden/table4.txt.
- * The value-level reference/trace cross-checks live in the fuzzing
+ *   - PlanPinned: for each kernel compiled from its einsum at the
+ *     Table-4 operands, the functional record stream of lowerProgram
+ *     and the SVE 512 micro-op stream of lowerTrace are pinned by an
+ *     FNV-1a 64 digest and a length;
+ *   - the baseline traces the compiled plans lower to compute their
+ *     reference kernel's result and emit a sensible micro-op mix;
+ *   - callback ids are plan-scoped, and the Table-4 bench output is
+ *     pinned byte-for-byte against tests/golden/table4.txt.
+ * The value-level reference/trace/TMU cross-checks live in the fuzzing
  * oracle (src/testing/oracle.cpp), which exercises them over every
  * shape class.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <map>
+#include <ostream>
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "kernels/mttkrp.hpp"
+#include "kernels/pagerank.hpp"
+#include "kernels/spadd.hpp"
+#include "kernels/spmspm.hpp"
 #include "kernels/spmv.hpp"
 #include "kernels/tricount.hpp"
+#include "plan/frontend/frontend.hpp"
 #include "plan/lower.hpp"
-#include "plan/plans.hpp"
+#include "sim/addrspace.hpp"
 #include "sim/memsys.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/generate.hpp"
 #include "tmu/functional.hpp"
-#include "workloads/programs.hpp"
 #include "workloads/table4.hpp"
-#include "workloads/workload.hpp"
+#include "workloads/wl_merge.hpp"
+#include "workloads/wl_spmspm.hpp"
+#include "workloads/wl_spmv.hpp"
+#include "workloads/wl_tensor.hpp"
 
 namespace tmu {
 namespace {
 
 using engine::OutqRecord;
-using engine::TmuProgram;
+using plan::frontend::CompileOptions;
+using plan::frontend::EinsumBindings;
 using sim::MicroOp;
+using sim::OpKind;
+using sim::SimdConfig;
+using tensor::CooTensor;
 using tensor::CsrMatrix;
 using tensor::DenseMatrix;
 using tensor::DenseVector;
 
-/** The pinned Table-4 operands, shared by every test below. */
-struct Inputs
-{
-    CsrMatrix a;
-    CsrMatrix at;
-    DenseVector dv{24};
-    DenseVector x{24};
-    std::vector<tensor::DcsrMatrix> parts;
-    CsrMatrix lower;
-    tensor::CooTensor coo;
-    DenseMatrix bm{24, 8};
-    DenseMatrix cm{24, 8};
-    DenseMatrix z{16, 8, 0.0};
+// --- Pinned record and trace streams ------------------------------------
 
-    Inputs()
+/** FNV-1a 64 over 64-bit words, each fed as 8 little-endian bytes. */
+class Fnv1a
+{
+  public:
+    void
+    add(std::uint64_t v)
     {
-        tensor::CsrGenConfig gc;
-        gc.rows = 24;
-        gc.cols = 24;
-        gc.nnzPerRow = 4;
-        gc.seed = 3;
-        a = tensor::randomCsr(gc);
-        at = tensor::transposeCsr(a);
-        Rng rng(5);
-        for (Index i = 0; i < 24; ++i)
-            dv[i] = rng.nextValue(0.1, 1.0);
-        for (Index i = 0; i < 24; ++i)
-            for (Index j = 0; j < 8; ++j)
-                bm(i, j) = rng.nextValue(0.1, 1.0);
-        for (Index i = 0; i < 24; ++i)
-            for (Index j = 0; j < 8; ++j)
-                cm(i, j) = rng.nextValue(0.1, 1.0);
-        parts = tensor::splitCyclic(a, 4);
-        lower = tensor::lowerTriangle(tensor::rmatGraph(5, 4, 7));
-        coo = tensor::randomCooTensor({16, 24, 24}, 150, 0.0, 9);
+        for (int b = 0; b < 8; ++b) {
+            h_ ^= (v >> (8 * b)) & 0xffu;
+            h_ *= 0x100000001b3ull;
+        }
     }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
+/** Digest and length of one stream. */
+struct StreamPin
+{
+    std::uint64_t digest = 0;
+    std::size_t length = 0;
+
+    bool operator==(const StreamPin &) const = default;
+};
+
+void
+PrintTo(const StreamPin &p, std::ostream *os)
+{
+    *os << "{0x" << std::hex << p.digest << std::dec << "ull, "
+        << p.length << "}";
+}
+
+/** Layer, event, callback id, mask bits and operand words per record. */
+StreamPin
+recordPin(const engine::TmuProgram &program)
+{
+    const std::vector<OutqRecord> recs =
+        engine::interpretToVector(program);
+    Fnv1a h;
+    for (const OutqRecord &r : recs) {
+        h.add(static_cast<std::uint64_t>(r.layer));
+        h.add(static_cast<std::uint64_t>(r.event));
+        h.add(static_cast<std::uint64_t>(r.callbackId));
+        h.add(r.mask.bits());
+        for (const std::vector<std::uint64_t> &operand : r.operands) {
+            h.add(operand.size());
+            for (const std::uint64_t w : operand)
+                h.add(w);
+        }
+    }
+    return {h.value(), recs.size()};
+}
+
 /**
- * Assert two functional record streams are identical modulo a
- * consistent callback-id bijection.
+ * Kind, size, branch outcome, dependency distance, pc and flops per
+ * micro-op. Addresses are left out: they name collector buffers whose
+ * placement is not part of the kernel.
+ */
+StreamPin
+tracePin(sim::Trace t)
+{
+    Fnv1a h;
+    std::size_t n = 0;
+    while (t.next()) {
+        const MicroOp &op = t.value();
+        h.add(static_cast<std::uint64_t>(op.kind));
+        h.add(op.size);
+        h.add(op.taken);
+        h.add(op.depDist);
+        h.add(op.pc);
+        h.add(op.flops);
+        ++n;
+    }
+    return {h.value(), n};
+}
+
+/**
+ * Pin the Table-4 row @p row. A pin moves only when the compiled kernel
+ * changes what the TMU is asked to marshal or what the baseline
+ * executes; update one only with an argument for why the new stream is
+ * right.
  */
 void
-expectSameRecords(const TmuProgram &legacy, const TmuProgram &planned)
+expectPinned(const char *row, StreamPin records, StreamPin trace)
 {
-    const auto lr = engine::interpretToVector(legacy);
-    const auto pr = engine::interpretToVector(planned);
-    ASSERT_EQ(lr.size(), pr.size());
-    ASSERT_GT(lr.size(), 0u) << "degenerate comparison";
-    std::map<int, int> fwd, rev;
-    for (size_t i = 0; i < lr.size(); ++i) {
-        const OutqRecord &x = lr[i];
-        const OutqRecord &y = pr[i];
-        ASSERT_EQ(x.layer, y.layer) << "record " << i;
-        ASSERT_EQ(static_cast<int>(x.event), static_cast<int>(y.event))
-            << "record " << i;
-        ASSERT_TRUE(x.mask == y.mask) << "record " << i;
-        ASSERT_EQ(x.operands, y.operands) << "record " << i;
-        const auto f = fwd.emplace(x.callbackId, y.callbackId);
-        const auto r = rev.emplace(y.callbackId, x.callbackId);
-        ASSERT_EQ(f.first->second, y.callbackId) << "record " << i;
-        ASSERT_EQ(r.first->second, x.callbackId) << "record " << i;
+    const workloads::Table4 t4;
+    const plan::PlanSpec &ps = t4.planSpec(row);
+    // Address-valued operands (Ldr streams) hash alike in any test
+    // order only from a fresh canonical address space.
+    sim::resetAddrSpace();
+    EXPECT_EQ(recordPin(plan::lowerProgram(ps)), records);
+    std::vector<Index> idxs, rowNnz;
+    std::vector<Value> vals;
+    std::uint64_t count = 0;
+    EXPECT_EQ(tracePin(plan::lowerTrace(ps, {&idxs, &vals, &rowNnz, &count},
+                                        SimdConfig{512})),
+              trace);
+}
+
+TEST(PlanPinned, SpmvP0)
+{
+    expectPinned("SpMV P0", {0x491d8237df234d26ull, 45},
+                 {0x8ecba5d061c2f680ull, 328});
+}
+
+TEST(PlanPinned, SpmvP1)
+{
+    expectPinned("SpMV P1", {0x28eed505b9caaea9ull, 55},
+                 {0x8ecba5d061c2f680ull, 328});
+}
+
+TEST(PlanPinned, SpmspmP2)
+{
+    expectPinned("SpMSpM P2", {0x4fdc63a4d6e2ac8aull, 228},
+                 {0xcb1e609254c35d45ull, 4536});
+}
+
+TEST(PlanPinned, Spkadd)
+{
+    expectPinned("SpKAdd", {0x273d0aa6625b2580ull, 81},
+                 {0x9767c4f8dd081e02ull, 1317});
+}
+
+TEST(PlanPinned, Pagerank)
+{
+    // PageRank marshals exactly SpMV P1's records; only the row update
+    // in the callbacks and the baseline differ.
+    expectPinned("PageRank", {0x28eed505b9caaea9ull, 55},
+                 {0x01753096dd81ff00ull, 328});
+}
+
+TEST(PlanPinned, Tricount)
+{
+    expectPinned("TriangleCount", {0xb2b90b8b44295f25ull, 68},
+                 {0x6d8fe62e681e9133ull, 1361});
+}
+
+TEST(PlanPinned, MttkrpP1)
+{
+    expectPinned("MTTKRP P1", {0x1fa1d592a7d0249cull, 351},
+                 {0xc680fe565b1f293cull, 1684});
+}
+
+TEST(PlanPinned, MttkrpP2)
+{
+    expectPinned("MTTKRP P2", {0x588cb35f144ddca4ull, 459},
+                 {0xc680fe565b1f293cull, 1684});
+}
+
+TEST(PlanPinned, Sddmm)
+{
+    expectPinned("SDDMM", {0x917d973615622344ull, 372},
+                 {0x5778f1695c8c053eull, 943});
+}
+
+TEST(PlanPinned, SpmmP2)
+{
+    expectPinned("SpMM P2", {0xf263b3541c05abd2ull, 285},
+                 {0x61314b70a10c0e32ull, 841});
+}
+
+TEST(PlanPinned, SpmmScatter)
+{
+    expectPinned("SpMM-SC", {0x4248a3c590e58005ull, 285},
+                 {0xce7869546c34c476ull, 793});
+}
+
+// --- Baseline traces of the compiled plans -------------------------------
+
+CooTensor
+randomCoo2(Index rows, Index cols, Index entries, std::uint64_t seed)
+{
+    Rng rng(seed);
+    CooTensor coo({rows, cols});
+    for (Index e = 0; e < entries; ++e) {
+        coo.push2(rng.nextIndex(0, rows), rng.nextIndex(0, cols),
+                  rng.nextValue(0.5, 1.5));
     }
+    coo.sortAndCombine();
+    return coo;
 }
 
-TEST(PlanProgram, SpmvP1MatchesLegacyBuilder)
+DenseVector
+randomVec(Index n, std::uint64_t seed)
 {
-    Inputs in;
-    plan::PlanSpec ps = plan::spmvPlan(in.a, in.dv, in.x, 8, 0,
-                                       in.a.rows(), plan::Variant::P1);
-    ps.validate();
-    expectSameRecords(
-        workloads::buildSpmvP1(in.a, in.dv, 8, 0, in.a.rows()),
-        plan::lowerProgram(ps));
+    Rng rng(seed);
+    DenseVector v(n);
+    for (Index i = 0; i < n; ++i)
+        v[i] = rng.nextValue(-1.0, 1.0);
+    return v;
 }
 
-TEST(PlanProgram, SpmvP0MatchesLegacyBuilder)
+DenseMatrix
+randomDense(Index rows, Index cols, std::uint64_t seed)
 {
-    Inputs in;
-    plan::PlanSpec ps = plan::spmvPlan(in.a, in.dv, in.x, 8, 0,
-                                       in.a.rows(), plan::Variant::P0);
-    ps.validate();
-    expectSameRecords(
-        workloads::buildSpmvP0(in.a, in.dv, 8, 0, in.a.rows()),
-        plan::lowerProgram(ps));
+    Rng rng(seed);
+    DenseMatrix m(rows, cols);
+    for (Index i = 0; i < rows; ++i) {
+        for (Index j = 0; j < cols; ++j)
+            m(i, j) = rng.nextValue(-1.0, 1.0);
+    }
+    return m;
 }
 
-TEST(PlanProgram, PagerankMatchesLegacyBuilder)
+/** Drain a trace, tallying op kinds. */
+struct OpMix
 {
-    // PageRank shares the SpMV P1 program; the update only changes the
-    // callback bodies, never the marshaled streams.
-    Inputs in;
-    plan::PlanSpec ps = plan::pagerankPlan(in.a, in.dv, in.x, 0.85, 8,
-                                           0, in.a.rows());
-    ps.validate();
-    expectSameRecords(
-        workloads::buildSpmvP1(in.a, in.dv, 8, 0, in.a.rows()),
-        plan::lowerProgram(ps));
-}
+    Index loads = 0, stores = 0, flopOps = 0, iops = 0, branches = 0;
+    std::uint64_t flops = 0;
+};
 
-TEST(PlanProgram, SpmspmP2MatchesLegacyBuilder)
+OpMix
+drain(sim::Trace t)
 {
-    Inputs in;
-    plan::PlanSpec ps = plan::spmspmPlan(in.a, in.at, 8, 0, in.a.rows());
-    ps.validate();
-    expectSameRecords(
-        workloads::buildSpmspmP2(in.a, in.at, 8, 0, in.a.rows()),
-        plan::lowerProgram(ps));
-}
-
-TEST(PlanProgram, SpkaddMatchesLegacyBuilder)
-{
-    Inputs in;
-    plan::PlanSpec ps = plan::spkaddPlan(in.parts, 0, in.a.rows());
-    ps.validate();
-    expectSameRecords(workloads::buildSpkadd(in.parts, 0, in.a.rows()),
-                      plan::lowerProgram(ps));
-}
-
-TEST(PlanProgram, TricountMatchesLegacyBuilder)
-{
-    Inputs in;
-    plan::PlanSpec ps = plan::tricountPlan(in.lower, 0, in.lower.rows());
-    ps.validate();
-    expectSameRecords(
-        workloads::buildTricount(in.lower, 0, in.lower.rows()),
-        plan::lowerProgram(ps));
-}
-
-TEST(PlanProgram, MttkrpP1MatchesLegacyBuilder)
-{
-    Inputs in;
-    plan::PlanSpec ps = plan::mttkrpPlan(in.coo, in.bm, in.cm, in.z, 8,
-                                         0, in.coo.nnz(),
-                                         plan::Variant::P1);
-    ps.validate();
-    expectSameRecords(workloads::buildMttkrpP1(in.coo, in.bm, in.cm,
-                                               in.z, 8, 0,
-                                               in.coo.nnz()),
-                      plan::lowerProgram(ps));
-}
-
-TEST(PlanProgram, MttkrpP2MatchesLegacyBuilder)
-{
-    Inputs in;
-    plan::PlanSpec ps = plan::mttkrpPlan(in.coo, in.bm, in.cm, in.z, 8,
-                                         0, in.coo.nnz(),
-                                         plan::Variant::P2);
-    ps.validate();
-    expectSameRecords(workloads::buildMttkrpP2(in.coo, in.bm, in.cm,
-                                               in.z, 8, 0,
-                                               in.coo.nnz()),
-                      plan::lowerProgram(ps));
-}
-
-TEST(PlanProgram, GoldenSummaries)
-{
-    // The Table-4 digest per migrated kernel, pinned. A change here is
-    // a change to what the TMU is asked to marshal — update the golden
-    // only with an argument for why the new mapping is right.
-    Inputs in;
-    auto summary = [](const plan::PlanSpec &ps) {
-        return plan::lowerProgram(ps).summary();
-    };
-    EXPECT_EQ(summary(plan::spmvPlan(in.a, in.dv, in.x, 8, 0,
-                                     in.a.rows(), plan::Variant::P0)),
-              "Dns,Rng | mem,msk | LockStep | GENDx1,GITEx2");
-    EXPECT_EQ(summary(plan::spmvPlan(in.a, in.dv, in.x, 8, 0,
-                                     in.a.rows(), plan::Variant::P1)),
-              "Dns,Rng | mem | BCast,LockStep | GENDx1,GITEx1");
-    EXPECT_EQ(summary(plan::pagerankPlan(in.a, in.dv, in.x, 0.85, 8, 0,
-                                         in.a.rows())),
-              "Dns,Rng | mem | BCast,LockStep | GENDx1,GITEx1");
-    EXPECT_EQ(summary(plan::spmspmPlan(in.a, in.at, 8, 0, in.a.rows())),
-              "Dns,Rng | mem | BCast,LockStep,Single | GENDx1,GITEx2");
-    EXPECT_EQ(summary(plan::spkaddPlan(in.parts, 0, in.a.rows())),
-              "Dns,Rng | mem,msk | DisjMrg | GENDx1,GITEx2");
-    EXPECT_EQ(
-        summary(plan::tricountPlan(in.lower, 0, in.lower.rows())),
-        "Dns,Rng | fwd,mem | BCast,ConjMrg,Single | GITEx1");
-    EXPECT_EQ(summary(plan::mttkrpPlan(in.coo, in.bm, in.cm, in.z, 8, 0,
-                                       in.coo.nnz(),
-                                       plan::Variant::P1)),
-              "Dns,Idx | fwd,ldr,lin,mem,msk | LockStep | GITEx2");
-    EXPECT_EQ(summary(plan::mttkrpPlan(in.coo, in.bm, in.cm, in.z, 8, 0,
-                                       in.coo.nnz(),
-                                       plan::Variant::P2)),
-              "Dns,Idx | fwd,ldr,lin,mem | BCast,LockStep | GITEx2");
-}
-
-/**
- * sim.cycles must be identical whether the TMU program + callback
- * handlers are produced by the plan lowering (the production path) or
- * written by hand the way the pre-plan workloads did it. Runs share
- * one process; each RunHarness resets the canonical address space, so
- * back-to-back runs are directly comparable.
- */
-TEST(PlanCycles, SpmvTmuMatchesHandWritten)
-{
-    Inputs in;
-    workloads::RunConfig cfg;
-    cfg.mode = workloads::Mode::Tmu;
-    cfg.system.cores = 2;
-    const Index rows = in.a.rows();
-    DenseVector x(rows);
-    const DenseVector ref = kernels::spmvRef(in.a, in.dv);
-
-    auto checkX = [&] {
-        for (Index i = 0; i < rows; ++i)
-            ASSERT_NEAR(x[i], ref[i], 1e-9);
-        x.fill(0.0);
-    };
-
-    // Hand-written: legacy builder + legacy Cb-enum handlers.
-    std::uint64_t legacyCycles = 0;
-    {
-        workloads::RunHarness h(cfg);
-        struct CoreState
-        {
-            Index row = 0;
-            Value sum = 0.0;
-        };
-        std::vector<CoreState> st(2);
-        for (int c = 0; c < 2; ++c) {
-            const auto [beg, end] = workloads::makePartition(
-                workloads::PartitionKind::Rows, rows, nullptr, 2)
-                .range(c);
-            auto &src = h.addTmuProgram(
-                c, workloads::buildSpmvP1(in.a, in.dv, cfg.programLanes,
-                                          beg, end));
-            CoreState &s = st[static_cast<size_t>(c)];
-            s.row = beg;
-            src.setHandler(
-                workloads::kCbRi,
-                [&s](const OutqRecord &rec, std::vector<MicroOp> &ops) {
-                    for (size_t i = 0; i < rec.operands[0].size(); ++i)
-                        s.sum += rec.f64(0, static_cast<int>(i)) *
-                                 rec.f64(1, static_cast<int>(i));
-                    ops.push_back(
-                        MicroOp::flop(static_cast<std::uint16_t>(
-                            2 * rec.operands[0].size())));
-                });
-            src.setHandler(
-                workloads::kCbRe,
-                [&s, &x](const OutqRecord &,
-                         std::vector<MicroOp> &ops) {
-                    x[s.row] = s.sum;
-                    ops.push_back(MicroOp::store(
-                        sim::addrOf(x.data(), s.row), 8));
-                    ++s.row;
-                    s.sum = 0.0;
-                });
+    OpMix mix;
+    while (t.next()) {
+        const MicroOp &op = t.value();
+        switch (op.kind) {
+          case OpKind::Load:
+            ++mix.loads;
+            break;
+          case OpKind::Store:
+            ++mix.stores;
+            break;
+          case OpKind::Flop:
+            ++mix.flopOps;
+            mix.flops += op.flops;
+            break;
+          case OpKind::Iop:
+            ++mix.iops;
+            break;
+          case OpKind::Branch:
+            ++mix.branches;
+            break;
+          case OpKind::Halt:
+            break;
         }
-        legacyCycles = h.finish().sim.cycles;
-        checkX();
     }
-
-    // Plan-lowered: same spec the SpMV workload runs in production.
-    std::uint64_t planCycles = 0;
-    {
-        workloads::RunHarness h(cfg);
-        std::vector<plan::PlanState> st(2);
-        std::vector<plan::PlanSpec> ps;
-        for (int c = 0; c < 2; ++c) {
-            const auto [beg, end] = workloads::makePartition(
-                workloads::PartitionKind::Rows, rows, nullptr, 2)
-                .range(c);
-            ps.push_back(plan::spmvPlan(in.a, in.dv, x,
-                                        cfg.programLanes, beg, end,
-                                        plan::Variant::P1));
-            h.addPlan(c, ps[c], st[static_cast<size_t>(c)]);
-        }
-        planCycles = h.finish().sim.cycles;
-        checkX();
-    }
-
-    EXPECT_EQ(legacyCycles, planCycles);
-    EXPECT_GT(planCycles, 0u);
+    return mix;
 }
 
-TEST(PlanCycles, SpmvBaselineMatchesHandWritten)
+/** Compile @p expr over [beg, end) (kInvalidIndex: the full domain). */
+plan::PlanSpec
+compile(const char *expr, const EinsumBindings &fb, Index beg = 0,
+        Index end = kInvalidIndex)
 {
-    Inputs in;
-    workloads::RunConfig cfg;
-    cfg.mode = workloads::Mode::Baseline;
-    cfg.system.cores = 2;
-    const Index rows = in.a.rows();
-    DenseVector x(rows);
-
-    std::uint64_t legacyCycles = 0;
-    {
-        workloads::RunHarness h(cfg);
-        for (int c = 0; c < 2; ++c) {
-            const auto [beg, end] = workloads::makePartition(
-                workloads::PartitionKind::Rows, rows, nullptr, 2)
-                .range(c);
-            h.addBaselineTrace(c, kernels::traceSpmv(in.a, in.dv, x,
-                                                     beg, end,
-                                                     h.simd()));
-        }
-        legacyCycles = h.finish().sim.cycles;
-    }
-
-    std::uint64_t planCycles = 0;
-    {
-        workloads::RunHarness h(cfg);
-        std::vector<plan::PlanSpec> ps;
-        for (int c = 0; c < 2; ++c) {
-            const auto [beg, end] = workloads::makePartition(
-                workloads::PartitionKind::Rows, rows, nullptr, 2)
-                .range(c);
-            ps.push_back(plan::spmvPlan(in.a, in.dv, x,
-                                        cfg.programLanes, beg, end,
-                                        plan::Variant::P1));
-            h.addBaselineTrace(c,
-                               plan::lowerTrace(ps[c], {}, h.simd()));
-        }
-        planCycles = h.finish().sim.cycles;
-    }
-
-    EXPECT_EQ(legacyCycles, planCycles);
-    EXPECT_GT(planCycles, 0u);
+    CompileOptions fo;
+    fo.beg = beg;
+    fo.end = end;
+    return plan::frontend::compileEinsum(expr, fb, fo).valueOrFatal();
 }
 
-TEST(PlanCycles, TricountTmuMatchesHandWritten)
+/** The baseline SpMV trace over rows [beg, end), writing @p x. */
+sim::Trace
+spmvTrace(const CsrMatrix &a, const DenseVector &b, DenseVector &x,
+          Index beg, Index end, SimdConfig simd)
 {
-    Inputs in;
-    workloads::RunConfig cfg;
-    cfg.mode = workloads::Mode::Tmu;
-    cfg.system.cores = 2;
-    const Index rows = in.lower.rows();
-    const std::uint64_t ref = kernels::tricountRef(in.lower);
-
-    std::uint64_t legacyCycles = 0;
-    {
-        workloads::RunHarness h(cfg);
-        std::vector<std::uint64_t> counts(2, 0);
-        for (int c = 0; c < 2; ++c) {
-            const auto [beg, end] = workloads::makePartition(
-                workloads::PartitionKind::Rows, rows, nullptr, 2)
-                .range(c);
-            auto &src = h.addTmuProgram(
-                c, workloads::buildTricount(in.lower, beg, end));
-            auto &count = counts[static_cast<size_t>(c)];
-            src.setHandler(workloads::kCbHit,
-                           [&count](const OutqRecord &,
-                                    std::vector<MicroOp> &ops) {
-                               ++count;
-                               ops.push_back(MicroOp::iop());
-                           });
-        }
-        legacyCycles = h.finish().sim.cycles;
-        ASSERT_EQ(counts[0] + counts[1], ref);
-    }
-
-    std::uint64_t planCycles = 0;
-    {
-        workloads::RunHarness h(cfg);
-        std::vector<plan::PlanState> st(2);
-        std::vector<plan::PlanSpec> ps;
-        for (int c = 0; c < 2; ++c) {
-            const auto [beg, end] = workloads::makePartition(
-                workloads::PartitionKind::Rows, rows, nullptr, 2)
-                .range(c);
-            ps.push_back(plan::tricountPlan(in.lower, beg, end));
-            h.addPlan(c, ps[c], st[static_cast<size_t>(c)]);
-        }
-        planCycles = h.finish().sim.cycles;
-        ASSERT_EQ(st[0].count + st[1].count, ref);
-    }
-
-    EXPECT_EQ(legacyCycles, planCycles);
-    EXPECT_GT(planCycles, 0u);
+    EinsumBindings fb;
+    fb.csr["A"] = &a;
+    fb.vec["B"] = &b;
+    fb.outVec = &x;
+    return plan::lowerTrace(
+        compile(workloads::SpmvWorkload::kEinsum, fb, beg, end), {}, simd);
 }
+
+/** The baseline SpKAdd trace over rows [beg, end) into the sinks. */
+sim::Trace
+spkaddTrace(const std::vector<tensor::DcsrMatrix> &parts, Index beg,
+            Index end, const plan::TraceSinks &io)
+{
+    EinsumBindings fb;
+    fb.ensembles["A^k"] = &parts;
+    return plan::lowerTrace(
+        compile(workloads::SpkaddWorkload::kEinsum, fb, beg, end), io,
+        SimdConfig{512});
+}
+
+class SpmvTraceProperty : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(SpmvTraceProperty, TraceComputesReference)
+{
+    const int vecBits = GetParam();
+    const CsrMatrix a = tensor::cooToCsr(randomCoo2(60, 50, 400, 3));
+    const DenseVector b = randomVec(50, 4);
+    const DenseVector want = kernels::spmvRef(a, b);
+    DenseVector x(a.rows());
+    const OpMix mix =
+        drain(spmvTrace(a, b, x, 0, a.rows(), SimdConfig{vecBits}));
+    for (Index i = 0; i < a.rows(); ++i)
+        EXPECT_NEAR(x[i], want[i], 1e-12);
+    EXPECT_GT(mix.loads, a.nnz());     // idx + val + gather
+    EXPECT_EQ(mix.stores, a.rows());   // one result store per row
+    EXPECT_GT(mix.branches, 0);
+    EXPECT_GE(mix.flops, static_cast<std::uint64_t>(2 * a.nnz()));
+}
+
+INSTANTIATE_TEST_SUITE_P(VectorWidths, SpmvTraceProperty,
+                         ::testing::Values(128, 256, 512));
+
+TEST(Spmv, PartitionedTraceMatches)
+{
+    const CsrMatrix a = tensor::cooToCsr(randomCoo2(64, 64, 300, 5));
+    const DenseVector b = randomVec(64, 6);
+    const DenseVector want = kernels::spmvRef(a, b);
+    DenseVector x(a.rows());
+    // Two disjoint row partitions (as two cores would run it).
+    drain(spmvTrace(a, b, x, 0, 32, SimdConfig{512}));
+    drain(spmvTrace(a, b, x, 32, 64, SimdConfig{512}));
+    for (Index i = 0; i < a.rows(); ++i)
+        EXPECT_NEAR(x[i], want[i], 1e-12);
+}
+
+TEST(Spmv, WiderVectorsFewerOps)
+{
+    const CsrMatrix a = tensor::cooToCsr(randomCoo2(50, 50, 600, 7));
+    const DenseVector b = randomVec(50, 8);
+    DenseVector x1(a.rows()), x2(a.rows());
+    const OpMix narrow =
+        drain(spmvTrace(a, b, x1, 0, a.rows(), SimdConfig{128}));
+    const OpMix wide =
+        drain(spmvTrace(a, b, x2, 0, a.rows(), SimdConfig{512}));
+    EXPECT_GT(narrow.branches, wide.branches);
+    EXPECT_GT(narrow.flopOps, wide.flopOps);
+    EXPECT_EQ(narrow.stores, wide.stores);
+}
+
+TEST(Spmspm, TraceComputesReference)
+{
+    const CsrMatrix a = tensor::cooToCsr(randomCoo2(40, 40, 250, 13));
+    const CsrMatrix b = tensor::transposeCsr(a);
+    const CsrMatrix want = kernels::spmspmRef(a, b);
+
+    EinsumBindings fb;
+    fb.csr["A"] = &a;
+    fb.csr["B"] = &b;
+    std::vector<Index> outIdxs, outRowNnz;
+    std::vector<Value> outVals;
+    const OpMix mix = drain(plan::lowerTrace(
+        compile(workloads::SpmspmWorkload::kEinsum, fb),
+        {&outIdxs, &outVals, &outRowNnz, nullptr}, SimdConfig{512}));
+    ASSERT_EQ(outRowNnz.size(), static_cast<size_t>(a.rows()));
+    ASSERT_EQ(outIdxs.size(), static_cast<size_t>(want.nnz()));
+    size_t q = 0;
+    for (Index i = 0; i < want.rows(); ++i) {
+        ASSERT_EQ(outRowNnz[static_cast<size_t>(i)], want.rowNnz(i));
+        for (Index p = want.rowBegin(i); p < want.rowEnd(i); ++p, ++q) {
+            EXPECT_EQ(outIdxs[q], want.idxs()[static_cast<size_t>(p)]);
+            EXPECT_NEAR(outVals[q], want.vals()[static_cast<size_t>(p)],
+                        1e-12);
+        }
+    }
+    EXPECT_GT(mix.flops, 0u);
+    EXPECT_GT(mix.stores, want.nnz()); // scatter + emit
+}
+
+TEST(Spkadd, TraceComputesReference)
+{
+    const CsrMatrix a = tensor::cooToCsr(randomCoo2(48, 32, 400, 21));
+    const auto parts = tensor::splitCyclic(a, 8);
+    const CsrMatrix want = kernels::spkaddRef(parts);
+    std::vector<Index> outIdxs, outRowNnz;
+    std::vector<Value> outVals;
+    const OpMix mix =
+        drain(spkaddTrace(parts, 0, want.rows(),
+                          {&outIdxs, &outVals, &outRowNnz, nullptr}));
+    ASSERT_EQ(outIdxs.size(), static_cast<size_t>(want.nnz()));
+    size_t q = 0;
+    for (Index i = 0; i < want.rows(); ++i) {
+        ASSERT_EQ(outRowNnz[static_cast<size_t>(i)], want.rowNnz(i));
+        for (Index p = want.rowBegin(i); p < want.rowEnd(i); ++p, ++q) {
+            EXPECT_EQ(outIdxs[q], want.idxs()[static_cast<size_t>(p)]);
+            EXPECT_NEAR(outVals[q], want.vals()[static_cast<size_t>(p)],
+                        1e-12);
+        }
+    }
+    EXPECT_GT(mix.branches, 2 * want.nnz());
+}
+
+TEST(Spkadd, PartitionedTraceMatches)
+{
+    const CsrMatrix a = tensor::cooToCsr(randomCoo2(40, 24, 300, 23));
+    const auto parts = tensor::splitCyclic(a, 4);
+    const CsrMatrix want = kernels::spkaddRef(parts);
+    std::vector<Index> i1, i2, n1, n2;
+    std::vector<Value> v1, v2;
+    drain(spkaddTrace(parts, 0, want.rows() / 2, {&i1, &v1, &n1, nullptr}));
+    drain(spkaddTrace(parts, want.rows() / 2, want.rows(),
+                      {&i2, &v2, &n2, nullptr}));
+    EXPECT_EQ(static_cast<Index>(i1.size() + i2.size()), want.nnz());
+}
+
+TEST(Mttkrp, TraceComputesReference)
+{
+    const CooTensor t =
+        tensor::randomCooTensor({30, 20, 15}, 500, 0.0, 37);
+    const DenseMatrix b = randomDense(20, 16, 38);
+    const DenseMatrix c = randomDense(15, 16, 39);
+    const DenseMatrix want = kernels::mttkrpRef(t, b, c, 0);
+    DenseMatrix z(30, 16, 0.0);
+    EinsumBindings fb;
+    fb.coo["A"] = &t;
+    fb.mat["B"] = &b;
+    fb.mat["C"] = &c;
+    fb.outMat = &z;
+    const OpMix mix =
+        drain(plan::lowerTrace(compile(workloads::MttkrpWorkload::kEinsum,
+                                       fb),
+                               {}, SimdConfig{512}));
+    for (Index i = 0; i < 30; ++i) {
+        for (Index j = 0; j < 16; ++j)
+            EXPECT_NEAR(z(i, j), want(i, j), 1e-12);
+    }
+    EXPECT_GE(mix.flops, static_cast<std::uint64_t>(3 * 16 * t.nnz()));
+}
+
+TEST(Pagerank, TraceIterMatchesReference)
+{
+    const CsrMatrix g = tensor::rmatGraph(6, 5, 47);
+    kernels::PageRankConfig cfg;
+    cfg.iterations = 1;
+    const DenseVector want = kernels::pagerankRef(g, cfg);
+
+    const Index n = g.rows();
+    const CsrMatrix gt = tensor::transposeCsr(g);
+    DenseVector contrib(n);
+    for (Index j = 0; j < n; ++j) {
+        const auto outdeg =
+            static_cast<Value>(std::max<Index>(1, gt.rowNnz(j)));
+        contrib[j] = (1.0 / static_cast<double>(n)) / outdeg;
+    }
+    DenseVector next(n);
+    EinsumBindings fb;
+    fb.csr["A"] = &g;
+    fb.vec["X"] = &contrib;
+    fb.outVec = &next;
+    fb.scalars["alpha"] = cfg.damping;
+    fb.scalars["beta"] = (1.0 - cfg.damping) / static_cast<double>(n);
+    drain(plan::lowerTrace(compile(workloads::PagerankWorkload::kEinsum,
+                                   fb),
+                           {}, SimdConfig{512}));
+    for (Index i = 0; i < n; ++i)
+        EXPECT_NEAR(next[i], want[i], 1e-12);
+}
+
+TEST(Tricount, TraceMatchesReference)
+{
+    const CsrMatrix g = tensor::rmatGraph(6, 5, 51);
+    const CsrMatrix l = tensor::lowerTriangle(g);
+    const std::uint64_t want = kernels::tricountRef(l);
+    EinsumBindings fb;
+    fb.csr["L"] = &l;
+    std::uint64_t count = 0;
+    plan::TraceSinks io;
+    io.count = &count;
+    const OpMix mix = drain(plan::lowerTrace(
+        compile(workloads::TricountWorkload::kEinsum, fb), io,
+        SimdConfig{512}));
+    EXPECT_EQ(count, want);
+    EXPECT_GT(mix.branches, mix.stores); // merge-dominated
+}
+
+// --- Callback ids and Table 4 ---------------------------------------------
 
 TEST(PlanCallbacks, IdsArePlanScoped)
 {
-    Inputs in;
-    const plan::PlanSpec ps = plan::spmspmPlan(in.a, in.at, 8, 0,
-                                               in.a.rows());
+    const workloads::Table4 t4;
+    const plan::PlanSpec &ps = t4.planSpec("SpMSpM P2");
     // Registration order defines the ids, starting at 1.
     EXPECT_EQ(ps.callbackId("set_a"), 1);
     EXPECT_EQ(ps.callbackId("flush"), 2);
@@ -438,9 +542,9 @@ using OutqDeathTest = ::testing::Test;
 
 TEST(OutqDeathTest, DuplicateHandlerIdPanics)
 {
-    Inputs in;
-    const TmuProgram prog =
-        workloads::buildTricount(in.lower, 0, in.lower.rows());
+    const workloads::Table4 t4;
+    const engine::TmuProgram prog =
+        plan::lowerProgram(t4.planSpec("TriangleCount"));
     sim::SystemConfig sys = sim::SystemConfig::neoverseN1();
     sim::MemorySystem mem(sys);
     engine::TmuEngine eng(0, engine::EngineConfig{}, mem, prog);

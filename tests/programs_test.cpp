@@ -1,11 +1,11 @@
 /**
  * @file
- * Functional correctness of every Table-4 TMU program builder: each
- * program is executed through the functional interpreter with the
- * host-core callback semantics and checked against its reference
- * kernel. (The timing engine is verified against the interpreter in
- * tmu_engine_test; the evaluated workloads additionally verify through
- * the full timing path in workloads_test.)
+ * Functional correctness of the Table-4 TMU programs: each program,
+ * hand-built or compiled from its einsum, is executed through the
+ * functional interpreter with the host-core callback semantics and
+ * checked against its reference kernel. (The timing engine is verified
+ * against the interpreter in tmu_engine_test; the evaluated workloads
+ * additionally verify through the full timing path in workloads_test.)
  */
 
 #include <gtest/gtest.h>
@@ -23,16 +23,22 @@
 #include "kernels/spttm.hpp"
 #include "kernels/spttv.hpp"
 #include "kernels/tricount.hpp"
+#include "plan/frontend/frontend.hpp"
+#include "plan/lower.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/generate.hpp"
 #include "tmu/functional.hpp"
 #include "workloads/programs.hpp"
+#include "workloads/wl_spmspm.hpp"
+#include "workloads/wl_spmv.hpp"
+#include "workloads/wl_tensor.hpp"
 
 namespace tmu::workloads {
 namespace {
 
 using engine::OutqRecord;
 using engine::interpret;
+using plan::frontend::EinsumBindings;
 using tensor::CooTensor;
 using tensor::CsrMatrix;
 using tensor::DenseMatrix;
@@ -71,6 +77,17 @@ randomDense(Index rows, Index cols, std::uint64_t seed)
     return m;
 }
 
+/** Compile @p expr over its full domain. */
+plan::PlanSpec
+compile(const char *expr, const EinsumBindings &fb, int lanes,
+        plan::Variant variant = plan::Variant::P1)
+{
+    plan::frontend::CompileOptions fo;
+    fo.lanes = lanes;
+    fo.variant = variant;
+    return plan::frontend::compileEinsum(expr, fb, fo).valueOrFatal();
+}
+
 TEST(Programs, SpmvP0MatchesReference)
 {
     const CsrMatrix a = randomMatrix(50, 40, 4, 3);
@@ -82,13 +99,20 @@ TEST(Programs, SpmvP0MatchesReference)
     // row lane; GEND of the whole lockstep group ends `lanes` rows at
     // once, so rows are tracked through the L0 row callback.
     std::vector<Index> liveRows;
-    const auto p = buildSpmvP0(a, b, 4, 0, a.rows());
-    interpret(p, [&](const OutqRecord &rec) {
-        if (rec.callbackId == kCbRow) {
+    EinsumBindings fb;
+    fb.csr["A"] = &a;
+    fb.vec["B"] = &b;
+    fb.outVec = &x;
+    const plan::PlanSpec ps =
+        compile(SpmvWorkload::kEinsum, fb, 4, plan::Variant::P0);
+    const int rowCb = ps.callbackId("row");
+    const int riCb = ps.callbackId("ri");
+    interpret(plan::lowerProgram(ps), [&](const OutqRecord &rec) {
+        if (rec.callbackId == rowCb) {
             liveRows.clear();
             for (size_t i = 0; i < rec.operands[0].size(); ++i)
                 liveRows.push_back(rec.i64(0, static_cast<int>(i)));
-        } else if (rec.callbackId == kCbRi) {
+        } else if (rec.callbackId == riCb) {
             // operands marshal only active lanes, in mask order; map
             // them back to the rows via the mask bits.
             int slot = 0;
@@ -251,14 +275,23 @@ TEST(Programs, MttkrpP2MatchesReference)
     const DenseMatrix want = kernels::mttkrpRef(t, b, c, 0);
 
     DenseMatrix z(20, 16, 0.0);
+    EinsumBindings fb;
+    fb.coo["A"] = &t;
+    fb.mat["B"] = &b;
+    fb.mat["C"] = &c;
+    fb.outMat = &z;
+    const plan::PlanSpec ps =
+        compile(MttkrpWorkload::kEinsum, fb, 8, plan::Variant::P2);
+    const int nnzCb = ps.callbackId("nnz");
+    const int jCb = ps.callbackId("j");
     Value v = 0.0;
     Addr zRow = 0;
-    interpret(buildMttkrpP2(t, b, c, z, 8, 0, t.nnz()),
+    interpret(plan::lowerProgram(ps),
               [&](const OutqRecord &rec) {
-                  if (rec.callbackId == kCbNnz) {
+                  if (rec.callbackId == nnzCb) {
                       v = rec.f64(0, 0);
                       zRow = static_cast<Addr>(rec.operands[1][0]);
-                  } else if (rec.callbackId == kCbJ) {
+                  } else if (rec.callbackId == jCb) {
                       auto *row = static_cast<Value *>(sim::hostPtr(zRow));
                       for (size_t i = 0; i < rec.operands[0].size();
                            ++i) {
@@ -284,12 +317,20 @@ TEST(Programs, MttkrpP1MatchesReference)
     const DenseMatrix want = kernels::mttkrpRef(t, b, c, 0);
 
     DenseMatrix z(18, 8, 0.0);
+    EinsumBindings fb;
+    fb.coo["A"] = &t;
+    fb.mat["B"] = &b;
+    fb.mat["C"] = &c;
+    fb.outMat = &z;
+    const plan::PlanSpec ps = compile(MttkrpWorkload::kEinsum, fb, 4);
+    const int nnzCb = ps.callbackId("nnz");
+    const int jCb = ps.callbackId("j");
     std::vector<Value> laneV;
     std::vector<Addr> laneZ;
     Index j = 0;
-    interpret(buildMttkrpP1(t, b, c, z, 4, 0, t.nnz()),
+    interpret(plan::lowerProgram(ps),
               [&](const OutqRecord &rec) {
-                  if (rec.callbackId == kCbNnz) {
+                  if (rec.callbackId == nnzCb) {
                       const auto n = rec.operands[0].size();
                       laneV.assign(n, 0.0);
                       laneZ.assign(n, 0);
@@ -299,7 +340,7 @@ TEST(Programs, MttkrpP1MatchesReference)
                               static_cast<Addr>(rec.operands[1][i]);
                       }
                       j = 0;
-                  } else if (rec.callbackId == kCbJ) {
+                  } else if (rec.callbackId == jCb) {
                       for (size_t i = 0; i < rec.operands[0].size();
                            ++i) {
                           auto *row = static_cast<Value *>(
@@ -442,10 +483,14 @@ TEST(Programs, TricountMatchesReference)
     const CsrMatrix g = tensor::rmatGraph(6, 4, 27);
     const CsrMatrix l = tensor::lowerTriangle(g);
     const std::uint64_t want = kernels::tricountRef(l);
+    EinsumBindings fb;
+    fb.csr["L"] = &l;
+    const plan::PlanSpec ps = compile(TricountWorkload::kEinsum, fb, 2);
+    const int hitCb = ps.callbackId("hit");
     std::uint64_t count = 0;
-    interpret(buildTricount(l, 0, l.rows()),
+    interpret(plan::lowerProgram(ps),
               [&](const OutqRecord &rec) {
-                  count += rec.callbackId == kCbHit;
+                  count += rec.callbackId == hitCb;
               });
     EXPECT_EQ(count, want);
 }

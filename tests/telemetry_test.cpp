@@ -16,9 +16,11 @@
 #include <string>
 #include <vector>
 
-#include "kernels/spmv.hpp"
+#include "plan/frontend/frontend.hpp"
+#include "plan/lower.hpp"
 #include "sim/telemetry.hpp"
 #include "tensor/generate.hpp"
+#include "workloads/wl_spmv.hpp"
 #include "workloads/workload.hpp"
 
 namespace tmu {
@@ -58,8 +60,19 @@ struct SpmvRun
                 workloads::makePartition(workloads::PartitionKind::Rows,
                                          a.rows(), nullptr, 2)
                     .range(c);
-            h.addBaselineTrace(c, kernels::traceSpmv(a, b, x, beg,
-                                                     end, h.simd()));
+            plan::frontend::EinsumBindings fb;
+            fb.csr["A"] = &a;
+            fb.vec["B"] = &b;
+            fb.outVec = &x;
+            plan::frontend::CompileOptions fo;
+            fo.beg = beg;
+            fo.end = end;
+            h.addBaselineTrace(
+                c, plan::lowerTrace(
+                       plan::frontend::compileEinsum(
+                           workloads::SpmvWorkload::kEinsum, fb, fo)
+                           .valueOrFatal(),
+                       {}, h.simd()));
         }
         workloads::RunResult res = h.finish();
         endTime = h.system().now();

@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "sim/addrspace.hpp"
 #include "kernels/spmv.hpp"
+#include "sim/microop.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/generate.hpp"
 #include "tmu/area.hpp"

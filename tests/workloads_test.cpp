@@ -3,7 +3,8 @@
  * End-to-end workload tests: every evaluated workload runs both the
  * baseline (traced software) and TMU paths on a small multicore and
  * must produce reference-verified outputs on both, and every registry
- * workload does so again at 65 cores. Also checks the headline
+ * workload does so again at 65 cores and keeps its pinned cycle counts
+ * at 1/2048 on two cores. Also checks the headline
  * direction (the TMU path is faster on a memory-intensive workload),
  * the Fig. 13 read-to-write instrumentation, the run verifier's
  * diagnostics, and the run-level failure paths.
@@ -13,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "workloads/registry.hpp"
@@ -93,6 +95,62 @@ TEST_P(WorkloadScaleOut, BothPathsVerifyAt65Cores)
 
 // The registry in full: the Fig. 10 set plus the Unlisted workloads.
 INSTANTIATE_TEST_SUITE_P(EveryWorkload, WorkloadScaleOut,
+                         ::testing::ValuesIn(registeredWorkloads()));
+
+/**
+ * sim.cycles of every registry workload on its first input at 1/2048
+ * on two cores, in both modes; the event and the dense scheduler must
+ * both give the pinned count. A pin moves only with simulated time;
+ * update one only with an argument for why the new count is right.
+ */
+struct CyclePin
+{
+    const char *workload;
+    std::uint64_t baseline;
+    std::uint64_t tmu;
+};
+
+constexpr CyclePin kCyclePins[] = {
+    {"SpMV", 12952, 2640},        {"SpMSpM", 38774, 18685},
+    {"SpKAdd", 55869, 3300},      {"PR", 12957, 2660},
+    {"TC", 152274, 35288},        {"SpAdd", 77946, 10196},
+    {"SDDMM", 33800, 31757},      {"SpMM", 7741, 9780},
+    {"SpMM-SC", 10382, 6553},     {"MTTKRP_MP", 18943, 23796},
+    {"MTTKRP_CP", 18943, 17584},  {"SpTC", 145317, 63471},
+    {"CP-ALS", 45352, 44063},
+};
+
+class PinnedCycles : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(PinnedCycles, BothModesBothSchedulers)
+{
+    const CyclePin *pin = nullptr;
+    for (const CyclePin &p : kCyclePins) {
+        if (GetParam() == p.workload)
+            pin = &p;
+    }
+    ASSERT_NE(pin, nullptr) << "no cycle pin for " << GetParam();
+    auto wl = makeWorkload(GetParam());
+    wl->prepare(wl->inputs().front(), 2048);
+    for (const bool dense : {false, true}) {
+        for (const Mode mode : {Mode::Baseline, Mode::Tmu}) {
+            SCOPED_TRACE(std::string(dense ? "dense" : "event") +
+                         (mode == Mode::Tmu ? " tmu" : " baseline"));
+            RunConfig cfg;
+            cfg.mode = mode;
+            cfg.system.cores = 2;
+            cfg.system.schedDense = dense;
+            const RunResult res = wl->run(cfg);
+            EXPECT_TRUE(res.verified) << res.mismatch;
+            EXPECT_EQ(res.sim.cycles,
+                      mode == Mode::Tmu ? pin->tmu : pin->baseline);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryWorkload, PinnedCycles,
                          ::testing::ValuesIn(registeredWorkloads()));
 
 TEST(Workloads, SpaddBaselineCyclesIgnoreHeapHistory)

@@ -885,7 +885,6 @@ main(int argc, char **argv)
             WorkloadOutcome &wo = task.outcome;
             wo.input = rec->input;
             wo.status = rec->status;
-            wo.error = rec->error;
             wo.verified = rec->verified;
             task.output = rec->output;
             for (const sim::TaskRunRecord &run : rec->runs) {
@@ -1061,7 +1060,6 @@ main(int argc, char **argv)
             rec.task = wo.name;
             rec.input = wo.input;
             rec.status = wo.status;
-            rec.error = wo.error;
             rec.output = task.output;
             rec.verified = wo.verified;
             for (const auto &[name, r] : wo.runs) {
